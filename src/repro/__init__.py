@@ -38,169 +38,121 @@ Package map
   checkpoint/artifact store enabling bitwise live job migration, and
   an asyncio HTTP front-end (``python -m repro.cluster``).
 
+Every name below is exported on use: ``import repro`` imports no
+subpackage, and ``from repro import HybridModel`` imports only what
+:mod:`repro.core.model` needs (see :mod:`repro._lazy`).
+
 Quick start
 -----------
 >>> from repro import HybridModel, Streamer
 >>> # see examples/quickstart.py for a complete runnable model
 """
 
-from repro.core import (
-    BackendProgram,
-    BatchResult,
-    BatchSimulator,
-    Channel,
-    ChannelPolicy,
-    CompileRequest,
-    ContinuousTime,
-    DPort,
-    DataKind,
-    Direction,
-    ExecutionBackend,
-    ExecutionPlan,
-    Flow,
-    FlowType,
-    HybridModel,
-    HybridScheduler,
-    ModelBuilder,
-    OptConfig,
-    OptReport,
-    PlanOptimizer,
-    Relay,
-    SPort,
-    SolverBinding,
-    Streamer,
-    StreamerThread,
-    available_backends,
-    compile_program,
-    simulate_sequential,
-    validate_model,
-)
-from repro.umlrt import (
-    Capsule,
-    Controller,
-    Message,
-    Port,
-    PortKind,
-    Priority,
-    Protocol,
-    RTSystem,
-    Signal,
-    State,
-    StateMachine,
-    Transition,
-)
-from repro.solvers import available_solvers, integrate, make_solver
-from repro.service import (
-    BatchJob,
-    ChecksFailedError,
-    CodegenJob,
-    JobHandle,
-    JobState,
-    MetricsRegistry,
-    PlanCache,
-    ServiceOverloaded,
-    SimulationService,
-    SingleRunJob,
-)
-from repro.check import (
-    CheckConfig,
-    CheckResult,
-    Diagnostic,
-    FixIt,
-    autofix,
-    run_checks,
-)
-from repro.resilience import (
-    CheckpointManager,
-    FaultInjector,
-    FingerprintMismatchError,
-    Snapshot,
-    SnapshotCodec,
-    SnapshotError,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BackendProgram",
-    "BatchJob",
-    "BatchResult",
-    "BatchSimulator",
-    "Capsule",
-    "CheckConfig",
-    "CheckResult",
-    "CheckpointManager",
-    "ChecksFailedError",
-    "CodegenJob",
-    "Channel",
-    "ChannelPolicy",
-    "CompileRequest",
-    "ContinuousTime",
-    "Controller",
-    "DPort",
-    "DataKind",
-    "Diagnostic",
-    "Direction",
-    "ExecutionBackend",
-    "ExecutionPlan",
-    "FaultInjector",
-    "FingerprintMismatchError",
-    "FixIt",
-    "Flow",
-    "FlowType",
-    "HybridModel",
-    "HybridScheduler",
-    "JobHandle",
-    "JobState",
-    "Message",
-    "MetricsRegistry",
-    "ModelBuilder",
-    "OptConfig",
-    "OptReport",
-    "PlanCache",
-    "PlanOptimizer",
-    "Port",
-    "PortKind",
-    "Priority",
-    "Protocol",
-    "RTSystem",
-    "Relay",
-    "SPort",
-    "ServiceOverloaded",
-    "Signal",
-    "SimulationService",
-    "SingleRunJob",
-    "Snapshot",
-    "SnapshotCodec",
-    "SnapshotError",
-    "SolverBinding",
-    "State",
-    "StateMachine",
-    "Streamer",
-    "StreamerThread",
-    "Transition",
-    "autofix",
-    "available_backends",
-    "available_solvers",
-    "compile_program",
-    "integrate",
-    "make_solver",
-    "run_checks",
-    "simulate_sequential",
-    "validate_model",
-    "__version__",
-    "cluster",
-    "scenarios",
-]
+__getattr__, __dir__, _LAZY = lazy_exports(__name__, {
+    "repro.core.backend.base": (
+        "BackendProgram", "CompileRequest", "ExecutionBackend",
+        "available_backends", "compile_program",
+    ),
+    "repro.core.batch": (
+        "BatchResult", "BatchSimulator", "simulate_sequential",
+    ),
+    "repro.core.builder": ("ModelBuilder",),
+    "repro.core.channel": ("Channel", "ChannelPolicy"),
+    "repro.core.dport": ("DPort", "Direction"),
+    "repro.core.flow": ("Flow", "Relay"),
+    "repro.core.flowtype": ("DataKind", "FlowType"),
+    "repro.core.hybrid": ("HybridScheduler",),
+    "repro.core.model": ("HybridModel",),
+    "repro.core.opt.config": ("OptConfig", "OptReport"),
+    "repro.core.opt.optimizer": ("PlanOptimizer",),
+    "repro.core.plan": ("ExecutionPlan",),
+    "repro.core.solverbinding": ("SolverBinding",),
+    "repro.core.sport": ("SPort",),
+    "repro.core.streamer": ("Streamer",),
+    "repro.core.thread": ("StreamerThread",),
+    "repro.core.timeservice": ("ContinuousTime",),
+    "repro.core.validation": ("validate_model",),
+    "repro.umlrt.capsule": ("Capsule",),
+    "repro.umlrt.controller": ("Controller",),
+    "repro.umlrt.port": ("Port", "PortKind"),
+    "repro.umlrt.protocol": ("Protocol",),
+    "repro.umlrt.runtime": ("RTSystem",),
+    "repro.umlrt.signal": ("Message", "Priority", "Signal"),
+    "repro.umlrt.statemachine": ("State", "StateMachine", "Transition"),
+    "repro.solvers.ivp": ("integrate",),
+    "repro.solvers.registry": ("available_solvers", "make_solver"),
+    "repro.service": ("SimulationService",),
+    "repro.service.cache": ("PlanCache",),
+    "repro.service.jobs": (
+        "BatchJob", "ChecksFailedError", "CodegenJob", "JobHandle",
+        "JobState", "ServiceOverloaded", "SingleRunJob",
+    ),
+    "repro.service.telemetry": ("MetricsRegistry",),
+    "repro.check.diagnostics": ("Diagnostic", "FixIt"),
+    "repro.check.registry": ("CheckConfig",),
+    "repro.check.runner": ("CheckResult", "autofix", "run_checks"),
+    "repro.resilience.checkpoint": ("CheckpointManager",),
+    "repro.resilience.codec": (
+        "FingerprintMismatchError", "Snapshot", "SnapshotCodec",
+        "SnapshotError",
+    ),
+    "repro.resilience.faults": ("FaultInjector",),
+})
 
-#: subpackages served lazily — ``repro.cluster`` pulls in
-#: multiprocessing machinery nobody pays for on a plain ``import repro``
-_LAZY_SUBPACKAGES = ("cluster", "scenarios", "resilience")
+__all__ = [*_LAZY, "__version__", "cluster", "scenarios"]
 
-
-def __getattr__(name: str):
-    if name in _LAZY_SUBPACKAGES:
-        import importlib
-
-        return importlib.import_module(f"repro.{name}")
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+if TYPE_CHECKING:
+    from repro import cluster, scenarios
+    from repro.check.diagnostics import Diagnostic, FixIt
+    from repro.check.registry import CheckConfig
+    from repro.check.runner import CheckResult, autofix, run_checks
+    from repro.core.backend.base import (
+        BackendProgram, CompileRequest, ExecutionBackend,
+        available_backends, compile_program,
+    )
+    from repro.core.batch import (
+        BatchResult, BatchSimulator, simulate_sequential,
+    )
+    from repro.core.builder import ModelBuilder
+    from repro.core.channel import Channel, ChannelPolicy
+    from repro.core.dport import DPort, Direction
+    from repro.core.flow import Flow, Relay
+    from repro.core.flowtype import DataKind, FlowType
+    from repro.core.hybrid import HybridScheduler
+    from repro.core.model import HybridModel
+    from repro.core.opt.config import OptConfig, OptReport
+    from repro.core.opt.optimizer import PlanOptimizer
+    from repro.core.plan import ExecutionPlan
+    from repro.core.solverbinding import SolverBinding
+    from repro.core.sport import SPort
+    from repro.core.streamer import Streamer
+    from repro.core.thread import StreamerThread
+    from repro.core.timeservice import ContinuousTime
+    from repro.core.validation import validate_model
+    from repro.resilience.checkpoint import CheckpointManager
+    from repro.resilience.codec import (
+        FingerprintMismatchError, Snapshot, SnapshotCodec, SnapshotError,
+    )
+    from repro.resilience.faults import FaultInjector
+    from repro.service import SimulationService
+    from repro.service.cache import PlanCache
+    from repro.service.jobs import (
+        BatchJob, ChecksFailedError, CodegenJob, JobHandle, JobState,
+        ServiceOverloaded, SingleRunJob,
+    )
+    from repro.service.telemetry import MetricsRegistry
+    from repro.solvers.ivp import integrate
+    from repro.solvers.registry import available_solvers, make_solver
+    from repro.umlrt.capsule import Capsule
+    from repro.umlrt.controller import Controller
+    from repro.umlrt.port import Port, PortKind
+    from repro.umlrt.protocol import Protocol
+    from repro.umlrt.runtime import RTSystem
+    from repro.umlrt.signal import Message, Priority, Signal
+    from repro.umlrt.statemachine import State, StateMachine, Transition

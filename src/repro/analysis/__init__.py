@@ -13,87 +13,78 @@
   checks the static response-time bound dominates what was observed.
 """
 
-from repro.analysis.metrics import (
-    StepMetrics,
-    compare_trajectories,
-    iae,
-    ise,
-    itae,
-    percentiles,
-    step_metrics,
-)
-from repro.analysis.coverage import (
-    CoverageReport,
-    coverage_of,
-    render_coverage,
-)
-from repro.analysis.experiments import (
-    SweepRun,
-    best_run,
-    grid_points,
-    render_sweep,
-    sweep,
-)
-from repro.analysis.trace import DispatchRecord, MessageTrace
-from repro.analysis.schedulability import (
-    CriticalSection,
-    PartitionResult,
-    RTAResult,
-    SensitivityResult,
-    Task,
-    TaskResponse,
-    TaskSet,
-    UtilisationResult,
-    first_fit_partition,
-    liu_layland_bound,
-    min_feasible_sync_interval,
-    response_time_analysis,
-    sched_report,
-    sensitivity,
-    shared_state_facts,
-    taskset_from_model,
-    utilisation_test,
-)
-from repro.analysis.schedvalidate import (
-    ValidationReport,
-    validate_schedulability,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CoverageReport",
-    "CriticalSection",
-    "DispatchRecord",
-    "MessageTrace",
-    "PartitionResult",
-    "RTAResult",
-    "SensitivityResult",
-    "TaskResponse",
-    "UtilisationResult",
-    "ValidationReport",
-    "first_fit_partition",
-    "min_feasible_sync_interval",
-    "sched_report",
-    "sensitivity",
-    "shared_state_facts",
-    "utilisation_test",
-    "validate_schedulability",
-    "coverage_of",
-    "render_coverage",
-    "StepMetrics",
-    "SweepRun",
-    "Task",
-    "TaskSet",
-    "best_run",
-    "grid_points",
-    "render_sweep",
-    "sweep",
-    "compare_trajectories",
-    "iae",
-    "ise",
-    "itae",
-    "liu_layland_bound",
-    "percentiles",
-    "response_time_analysis",
-    "step_metrics",
-    "taskset_from_model",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.analysis.metrics": (
+        "StepMetrics", "compare_trajectories", "iae", "ise", "itae",
+        "percentiles", "step_metrics",
+    ),
+    "repro.analysis.coverage": (
+        "CoverageReport", "coverage_of", "render_coverage",
+    ),
+    "repro.analysis.experiments": (
+        "SweepRun", "best_run", "grid_points", "render_sweep", "sweep",
+    ),
+    "repro.analysis.trace": ("DispatchRecord", "MessageTrace"),
+    "repro.analysis.schedulability": (
+        "CriticalSection", "PartitionResult", "RTAResult",
+        "SensitivityResult", "Task", "TaskResponse", "TaskSet",
+        "UtilisationResult", "first_fit_partition", "liu_layland_bound",
+        "min_feasible_sync_interval", "response_time_analysis",
+        "sched_report", "sensitivity", "shared_state_facts",
+        "taskset_from_model", "utilisation_test",
+    ),
+    "repro.analysis.schedvalidate": (
+        "ValidationReport", "validate_schedulability",
+    ),
+})
+
+if TYPE_CHECKING:
+    from repro.analysis.metrics import (
+        StepMetrics,
+        compare_trajectories,
+        iae,
+        ise,
+        itae,
+        percentiles,
+        step_metrics,
+    )
+    from repro.analysis.coverage import (
+        CoverageReport,
+        coverage_of,
+        render_coverage,
+    )
+    from repro.analysis.experiments import (
+        SweepRun,
+        best_run,
+        grid_points,
+        render_sweep,
+        sweep,
+    )
+    from repro.analysis.trace import DispatchRecord, MessageTrace
+    from repro.analysis.schedulability import (
+        CriticalSection,
+        PartitionResult,
+        RTAResult,
+        SensitivityResult,
+        Task,
+        TaskResponse,
+        TaskSet,
+        UtilisationResult,
+        first_fit_partition,
+        liu_layland_bound,
+        min_feasible_sync_interval,
+        response_time_analysis,
+        sched_report,
+        sensitivity,
+        shared_state_facts,
+        taskset_from_model,
+        utilisation_test,
+    )
+    from repro.analysis.schedvalidate import (
+        ValidationReport,
+        validate_schedulability,
+    )

@@ -17,18 +17,23 @@ be *measured* instead of asserted:
   loss metrics shared by both comparisons.
 """
 
-from repro.baselines.kuhl import KuhlTranslation
-from repro.baselines.bichler import BichlerModel
-from repro.baselines.metrics import (
-    diagram_features,
-    information_loss,
-    model_size,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BichlerModel",
-    "KuhlTranslation",
-    "diagram_features",
-    "information_loss",
-    "model_size",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.baselines.kuhl": ("KuhlTranslation",),
+    "repro.baselines.bichler": ("BichlerModel",),
+    "repro.baselines.metrics": (
+        "diagram_features", "information_loss", "model_size",
+    ),
+})
+
+if TYPE_CHECKING:
+    from repro.baselines.kuhl import KuhlTranslation
+    from repro.baselines.bichler import BichlerModel
+    from repro.baselines.metrics import (
+        diagram_features,
+        information_loss,
+        model_size,
+    )

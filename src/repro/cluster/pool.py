@@ -309,13 +309,6 @@ class WorkerPool:
             self._feed_hungry()
         return handle
 
-    @property
-    def _ema_wall(self) -> Optional[float]:
-        """The global wall-time EMA (kept for status()/tests; the
-        admission predicate itself is now per-kind with this as the
-        fallback)."""
-        return self.admission.cost_model.snapshot()["*"]
-
     def _admit(self, request: ClusterJobRequest):
         """Queue-shedding gates; caller holds the lock.  Returns the
         :class:`~repro.service.admission.AdmissionDecision`."""
@@ -649,7 +642,6 @@ class WorkerPool:
                 "queued": sum(len(s.deque) for s in self._slots),
                 "steals": self.steals,
                 "migrations": self.migrations_total,
-                "ema_wall": self._ema_wall,
                 "cost_model": self.admission.cost_model.snapshot(),
                 "store": self.store.stats(),
             }

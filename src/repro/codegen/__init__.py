@@ -18,24 +18,29 @@ ZOH/UnitDelay/DiscretePID sampled blocks.  Custom streamers raise
 library blocks or extend the emitter registry.
 """
 
-from repro.codegen.common import CodegenError, UnsupportedBlockError, lower
-from repro.codegen.pygen import generate_python
-from repro.codegen.cgen import generate_c
-from repro.codegen.smgen import (
-    SMGenError,
-    flatten_machine,
-    generate_statemachine_c,
-    generate_statemachine_python,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CodegenError",
-    "SMGenError",
-    "UnsupportedBlockError",
-    "flatten_machine",
-    "generate_c",
-    "generate_python",
-    "generate_statemachine_c",
-    "generate_statemachine_python",
-    "lower",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.codegen.common": ("CodegenError", "UnsupportedBlockError", "lower"),
+    "repro.codegen.pygen": ("generate_python",),
+    "repro.codegen.cgen": ("generate_c",),
+    "repro.codegen.smgen": (
+        "SMGenError", "flatten_machine", "generate_statemachine_c",
+        "generate_statemachine_python",
+    ),
+})
+
+if TYPE_CHECKING:
+    from repro.codegen.common import (
+        CodegenError, UnsupportedBlockError, lower,
+    )
+    from repro.codegen.pygen import generate_python
+    from repro.codegen.cgen import generate_c
+    from repro.codegen.smgen import (
+        SMGenError,
+        flatten_machine,
+        generate_statemachine_c,
+        generate_statemachine_python,
+    )

@@ -27,86 +27,72 @@ Public entry point: :class:`repro.core.model.HybridModel` (or the fluent
 :class:`repro.core.builder.ModelBuilder`).
 """
 
-from repro.core.flowtype import DataKind, FlowType, FlowTypeError
-from repro.core.dport import Direction, DPort, DPortError
-from repro.core.sport import SPort, SPortError
-from repro.core.flow import Flow, FlowError, Relay
-from repro.core.channel import Channel, ChannelError, ChannelPolicy
-from repro.core.timeservice import ContinuousTime, TimeError
-from repro.core.streamer import Streamer, StreamerError
-from repro.core.solverbinding import SolverBinding
-from repro.core.plan import (
-    ExecutionPlan, PlanCounters, PlanEdge, PlanGuard, PlanNode,
-)
-from repro.core.batch import (
-    BatchChunk, BatchError, BatchProgram, BatchResult, BatchSimulator,
-    SweepVar, compile_batch_program, merge_chunks, simulate_sequential,
-)
-from repro.core.opt import OptConfig, OptReport, PlanOptimizer
-from repro.core.backend import (
-    BackendError, BackendProgram, BackendUnavailable, CompileRequest,
-    ExecutionBackend, ProgramResult, available_backends, compile_program,
-    fallback_chain, get_backend, register_backend,
-)
-from repro.core.thread import StreamerThread
-from repro.core.hybrid import HybridScheduler
-from repro.core.model import HybridModel
-from repro.core.builder import ModelBuilder
-from repro.core.validation import ValidationError, Violation, validate_model
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BackendError",
-    "BackendProgram",
-    "BackendUnavailable",
-    "BatchChunk",
-    "BatchError",
-    "BatchProgram",
-    "BatchResult",
-    "BatchSimulator",
-    "Channel",
-    "ChannelError",
-    "ChannelPolicy",
-    "CompileRequest",
-    "ContinuousTime",
-    "DPort",
-    "DPortError",
-    "DataKind",
-    "Direction",
-    "ExecutionBackend",
-    "ExecutionPlan",
-    "Flow",
-    "FlowError",
-    "FlowType",
-    "FlowTypeError",
-    "HybridModel",
-    "HybridScheduler",
-    "ModelBuilder",
-    "OptConfig",
-    "OptReport",
-    "PlanCounters",
-    "PlanEdge",
-    "PlanGuard",
-    "PlanNode",
-    "PlanOptimizer",
-    "ProgramResult",
-    "Relay",
-    "SPort",
-    "SPortError",
-    "SolverBinding",
-    "Streamer",
-    "StreamerError",
-    "StreamerThread",
-    "SweepVar",
-    "TimeError",
-    "ValidationError",
-    "Violation",
-    "available_backends",
-    "compile_batch_program",
-    "compile_program",
-    "fallback_chain",
-    "get_backend",
-    "merge_chunks",
-    "register_backend",
-    "simulate_sequential",
-    "validate_model",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.flowtype": ("DataKind", "FlowType", "FlowTypeError"),
+    "repro.core.dport": ("Direction", "DPort", "DPortError"),
+    "repro.core.sport": ("SPort", "SPortError"),
+    "repro.core.flow": ("Flow", "FlowError", "Relay"),
+    "repro.core.channel": ("Channel", "ChannelError", "ChannelPolicy"),
+    "repro.core.timeservice": ("ContinuousTime", "TimeError"),
+    "repro.core.streamer": ("Streamer", "StreamerError"),
+    "repro.core.solverbinding": ("SolverBinding",),
+    "repro.core.plan": (
+        "ExecutionPlan", "PlanCounters", "PlanEdge", "PlanGuard",
+        "PlanNode",
+    ),
+    "repro.core.batch": (
+        "BatchChunk", "BatchError", "BatchProgram", "BatchResult",
+        "BatchSimulator", "SweepVar", "compile_batch_program",
+        "merge_chunks", "simulate_sequential",
+    ),
+    "repro.core.opt.config": ("OptConfig", "OptReport"),
+    "repro.core.opt.optimizer": ("PlanOptimizer",),
+    "repro.core.backend.base": (
+        "BackendError", "BackendProgram", "BackendUnavailable",
+        "CompileRequest", "ExecutionBackend", "ProgramResult",
+        "available_backends", "compile_program", "fallback_chain",
+        "get_backend", "register_backend",
+    ),
+    "repro.core.thread": ("StreamerThread",),
+    "repro.core.hybrid": ("HybridScheduler",),
+    "repro.core.model": ("HybridModel",),
+    "repro.core.builder": ("ModelBuilder",),
+    "repro.core.validation": (
+        "ValidationError", "Violation", "validate_model",
+    ),
+})
+
+if TYPE_CHECKING:
+    from repro.core.flowtype import DataKind, FlowType, FlowTypeError
+    from repro.core.dport import Direction, DPort, DPortError
+    from repro.core.sport import SPort, SPortError
+    from repro.core.flow import Flow, FlowError, Relay
+    from repro.core.channel import Channel, ChannelError, ChannelPolicy
+    from repro.core.timeservice import ContinuousTime, TimeError
+    from repro.core.streamer import Streamer, StreamerError
+    from repro.core.solverbinding import SolverBinding
+    from repro.core.plan import (
+        ExecutionPlan, PlanCounters, PlanEdge, PlanGuard, PlanNode,
+    )
+    from repro.core.batch import (
+        BatchChunk, BatchError, BatchProgram, BatchResult, BatchSimulator,
+        SweepVar, compile_batch_program, merge_chunks, simulate_sequential,
+    )
+    from repro.core.opt.config import OptConfig, OptReport
+    from repro.core.opt.optimizer import PlanOptimizer
+    from repro.core.backend.base import (
+        BackendError, BackendProgram, BackendUnavailable, CompileRequest,
+        ExecutionBackend, ProgramResult, available_backends,
+        compile_program, fallback_chain, get_backend, register_backend,
+    )
+    from repro.core.thread import StreamerThread
+    from repro.core.hybrid import HybridScheduler
+    from repro.core.model import HybridModel
+    from repro.core.builder import ModelBuilder
+    from repro.core.validation import (
+        ValidationError, Violation, validate_model,
+    )

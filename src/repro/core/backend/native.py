@@ -310,6 +310,15 @@ def render_c_kernel(model, solver_name: str) -> str:
 # ----------------------------------------------------------------------
 # artifact cache
 # ----------------------------------------------------------------------
+def _temp_path(cache_dir: Path, key: str, suffix: str) -> Path:
+    """A fresh, uniquely named empty file in ``cache_dir``."""
+    fd, name = tempfile.mkstemp(
+        suffix=suffix, prefix=f"{key}.", dir=cache_dir,
+    )
+    os.close(fd)
+    return Path(name)
+
+
 def build_artifact(
     source: str, key: str, cache_dir: Path
 ) -> Tuple[Path, bool]:
@@ -330,8 +339,12 @@ def build_artifact(
         raise BackendUnavailable(
             "no C compiler on this host (checked $CC, cc, gcc, clang)"
         )
-    c_path.write_text(source)
-    tmp_path = cache_dir / f"{key}.so.tmp{os.getpid()}"
+    # every temp name is unique per call, so threads or processes
+    # building the same key never share one; each lands by atomic rename
+    c_tmp = _temp_path(cache_dir, key, ".c.tmp")
+    c_tmp.write_text(source)
+    os.replace(c_tmp, c_path)
+    tmp_path = _temp_path(cache_dir, key, ".so.tmp")
     cmd = [compiler, *CFLAGS, "-o", str(tmp_path), str(c_path), "-lm"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:

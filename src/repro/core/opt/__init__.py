@@ -36,17 +36,17 @@ telemetry (``opt.blocks_removed``, ``opt.ops_fused``) and the check
 CLI's ``--explain`` output.
 """
 
-from repro.core.opt.config import OptConfig, OptReport, resolve_config
-from repro.core.opt.optimizer import PlanOptimizer
-from repro.core.opt.synth import FoldedBlock, FusedChain, PadCopy, synth_dag
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "OptConfig",
-    "OptReport",
-    "PlanOptimizer",
-    "FoldedBlock",
-    "FusedChain",
-    "PadCopy",
-    "resolve_config",
-    "synth_dag",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.opt.config": ("OptConfig", "OptReport", "resolve_config"),
+    "repro.core.opt.optimizer": ("PlanOptimizer",),
+    "repro.core.opt.synth": ("FoldedBlock", "FusedChain", "PadCopy"),
+})
+
+if TYPE_CHECKING:
+    from repro.core.opt.config import OptConfig, OptReport, resolve_config
+    from repro.core.opt.optimizer import PlanOptimizer
+    from repro.core.opt.synth import FoldedBlock, FusedChain, PadCopy

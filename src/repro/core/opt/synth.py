@@ -256,31 +256,3 @@ class FusedChain(Streamer):
                 value = stage(value)
         self.out_pad.write(float(value))
 
-
-def synth_dag(
-    seed: int,
-    blocks: int = 12,
-    sampled: bool = False,
-    scope_channels: int = 3,
-):
-    """Deprecated alias: moved to :func:`repro.scenarios.synth.synth_dag`.
-
-    The generator grew into the scenario-synthesis layer of the campaign
-    engine (:mod:`repro.scenarios`); only the optimizer's synthetic leaf
-    types stayed here.  This alias delegates (same seeds, same diagrams,
-    bit-for-bit) and will be removed once external imports migrate.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.core.opt.synth.synth_dag has moved to "
-        "repro.scenarios.synth.synth_dag; update the import "
-        "(this compatibility alias will be removed)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.scenarios.synth import synth_dag as _synth_dag
-
-    return _synth_dag(
-        seed, blocks=blocks, sampled=sampled, scope_channels=scope_channels,
-    )

@@ -24,86 +24,77 @@ Module map:
   with name-based wiring.
 """
 
-from repro.dataflow.block import Block, BlockError
-from repro.dataflow.sources import (
-    Constant,
-    Pulse,
-    Ramp,
-    Sine,
-    Step,
-    TimeSource,
-    WhiteNoise,
-)
-from repro.dataflow.math_blocks import Abs, Bias, Gain, Product, Sum
-from repro.dataflow.dynamics import (
-    PID,
-    FirstOrderLag,
-    Integrator,
-    SecondOrderSystem,
-    StateSpace,
-    TransferFunction,
-)
-from repro.dataflow.nonlinear import (
-    DeadZone,
-    LookupTable1D,
-    Quantizer,
-    RelayHysteresis,
-    Saturation,
-)
-from repro.dataflow.discrete import (
-    DiscretePID,
-    DiscreteTransferFunction,
-    MovingAverage,
-    UnitDelay,
-    ZeroOrderHold,
-)
-from repro.dataflow.ode import OdeBlock
-from repro.dataflow.routing import (
-    FilteredDerivative,
-    RateLimiter,
-    Switch,
-    TransportDelay,
-)
-from repro.dataflow.sinks import Scope, Terminator
-from repro.dataflow.diagram import Diagram
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Abs",
-    "Bias",
-    "Block",
-    "BlockError",
-    "Constant",
-    "DeadZone",
-    "Diagram",
-    "DiscretePID",
-    "DiscreteTransferFunction",
-    "FilteredDerivative",
-    "FirstOrderLag",
-    "Gain",
-    "Integrator",
-    "LookupTable1D",
-    "MovingAverage",
-    "OdeBlock",
-    "PID",
-    "Product",
-    "Pulse",
-    "Quantizer",
-    "Ramp",
-    "RateLimiter",
-    "RelayHysteresis",
-    "Saturation",
-    "Scope",
-    "SecondOrderSystem",
-    "Sine",
-    "StateSpace",
-    "Step",
-    "Sum",
-    "Switch",
-    "Terminator",
-    "TimeSource",
-    "TransferFunction",
-    "TransportDelay",
-    "UnitDelay",
-    "WhiteNoise",
-    "ZeroOrderHold",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.dataflow.block": ("Block", "BlockError"),
+    "repro.dataflow.sources": (
+        "Constant", "Pulse", "Ramp", "Sine", "Step", "TimeSource",
+        "WhiteNoise",
+    ),
+    "repro.dataflow.math_blocks": ("Abs", "Bias", "Gain", "Product", "Sum"),
+    "repro.dataflow.dynamics": (
+        "PID", "FirstOrderLag", "Integrator", "SecondOrderSystem",
+        "StateSpace", "TransferFunction",
+    ),
+    "repro.dataflow.nonlinear": (
+        "DeadZone", "LookupTable1D", "Quantizer", "RelayHysteresis",
+        "Saturation",
+    ),
+    "repro.dataflow.discrete": (
+        "DiscretePID", "DiscreteTransferFunction", "MovingAverage",
+        "UnitDelay", "ZeroOrderHold",
+    ),
+    "repro.dataflow.ode": ("OdeBlock",),
+    "repro.dataflow.routing": (
+        "FilteredDerivative", "RateLimiter", "Switch", "TransportDelay",
+    ),
+    "repro.dataflow.sinks": ("Scope", "Terminator"),
+    "repro.dataflow.diagram": ("Diagram",),
+})
+
+if TYPE_CHECKING:
+    from repro.dataflow.block import Block, BlockError
+    from repro.dataflow.sources import (
+        Constant,
+        Pulse,
+        Ramp,
+        Sine,
+        Step,
+        TimeSource,
+        WhiteNoise,
+    )
+    from repro.dataflow.math_blocks import Abs, Bias, Gain, Product, Sum
+    from repro.dataflow.dynamics import (
+        PID,
+        FirstOrderLag,
+        Integrator,
+        SecondOrderSystem,
+        StateSpace,
+        TransferFunction,
+    )
+    from repro.dataflow.nonlinear import (
+        DeadZone,
+        LookupTable1D,
+        Quantizer,
+        RelayHysteresis,
+        Saturation,
+    )
+    from repro.dataflow.discrete import (
+        DiscretePID,
+        DiscreteTransferFunction,
+        MovingAverage,
+        UnitDelay,
+        ZeroOrderHold,
+    )
+    from repro.dataflow.ode import OdeBlock
+    from repro.dataflow.routing import (
+        FilteredDerivative,
+        RateLimiter,
+        Switch,
+        TransportDelay,
+    )
+    from repro.dataflow.sinks import Scope, Terminator
+    from repro.dataflow.diagram import Diagram

@@ -21,60 +21,61 @@ extension.  This package makes those artefacts machine-checked:
   streamer instances and the Figure-2/Figure-3 example models.
 """
 
-from repro.metamodel.elements import (
-    Association,
-    Attribute,
-    Classifier,
-    Generalization,
-    Multiplicity,
-    Operation,
-    Package,
-)
-from repro.metamodel.stereotypes import (
-    EXTENSION_PROFILE,
-    TABLE1,
-    UMLRT_PROFILE,
-    StereotypeDef,
-    implementation_of,
-    table1_rows,
-    render_table1,
-)
-from repro.metamodel.profile import Profile, ProfileError
-from repro.metamodel.export import model_stereotype_census, model_to_package
-from repro.metamodel.xmi import from_xmi, to_xmi
-from repro.metamodel.classdiagram import figure1_package, render_class_diagram
-from repro.metamodel.structure import (
-    figure2_streamer,
-    figure3_capsule_model,
-    render_capsule_structure,
-    render_streamer_structure,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Association",
-    "Attribute",
-    "Classifier",
-    "EXTENSION_PROFILE",
-    "Generalization",
-    "Multiplicity",
-    "Operation",
-    "Package",
-    "Profile",
-    "ProfileError",
-    "StereotypeDef",
-    "TABLE1",
-    "UMLRT_PROFILE",
-    "figure1_package",
-    "figure2_streamer",
-    "figure3_capsule_model",
-    "from_xmi",
-    "implementation_of",
-    "model_stereotype_census",
-    "model_to_package",
-    "render_capsule_structure",
-    "render_class_diagram",
-    "render_streamer_structure",
-    "render_table1",
-    "table1_rows",
-    "to_xmi",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.metamodel.elements": (
+        "Association", "Attribute", "Classifier", "Generalization",
+        "Multiplicity", "Operation", "Package",
+    ),
+    "repro.metamodel.stereotypes": (
+        "EXTENSION_PROFILE", "TABLE1", "UMLRT_PROFILE", "StereotypeDef",
+        "implementation_of", "table1_rows", "render_table1",
+    ),
+    "repro.metamodel.profile": ("Profile", "ProfileError"),
+    "repro.metamodel.export": ("model_stereotype_census", "model_to_package"),
+    "repro.metamodel.xmi": ("from_xmi", "to_xmi"),
+    "repro.metamodel.classdiagram": (
+        "figure1_package", "render_class_diagram",
+    ),
+    "repro.metamodel.structure": (
+        "figure2_streamer", "figure3_capsule_model",
+        "render_capsule_structure", "render_streamer_structure",
+    ),
+})
+
+if TYPE_CHECKING:
+    from repro.metamodel.elements import (
+        Association,
+        Attribute,
+        Classifier,
+        Generalization,
+        Multiplicity,
+        Operation,
+        Package,
+    )
+    from repro.metamodel.stereotypes import (
+        EXTENSION_PROFILE,
+        TABLE1,
+        UMLRT_PROFILE,
+        StereotypeDef,
+        implementation_of,
+        table1_rows,
+        render_table1,
+    )
+    from repro.metamodel.profile import Profile, ProfileError
+    from repro.metamodel.export import (
+        model_stereotype_census, model_to_package,
+    )
+    from repro.metamodel.xmi import from_xmi, to_xmi
+    from repro.metamodel.classdiagram import (
+        figure1_package, render_class_diagram,
+    )
+    from repro.metamodel.structure import (
+        figure2_streamer,
+        figure3_capsule_model,
+        render_capsule_structure,
+        render_streamer_structure,
+    )

@@ -14,18 +14,22 @@ control project actually needs for that:
   after a simulation run.
 """
 
-from repro.requirements.core import (
-    Requirement,
-    RequirementError,
-    RequirementSet,
-    TraceEntry,
-    trace_report,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Requirement",
-    "RequirementError",
-    "RequirementSet",
-    "TraceEntry",
-    "trace_report",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.requirements.core": (
+        "Requirement", "RequirementError", "RequirementSet", "TraceEntry",
+        "trace_report",
+    ),
+})
+
+if TYPE_CHECKING:
+    from repro.requirements.core import (
+        Requirement,
+        RequirementError,
+        RequirementSet,
+        TraceEntry,
+        trace_report,
+    )

@@ -20,56 +20,53 @@ killed mid-flight and resumed from its latest checkpoint is *bitwise
 identical* to one that never crashed.
 """
 
-from repro.resilience.checkpoint import (
-    SUFFIX as CHECKPOINT_SUFFIX,
-    CheckpointError,
-    CheckpointManager,
-)
-from repro.resilience.codec import (
-    SNAPSHOT_VERSION,
-    FingerprintMismatchError,
-    Snapshot,
-    SnapshotCodec,
-    SnapshotCorruptError,
-    SnapshotError,
-    SnapshotVersionError,
-    corrupt_bytes,
-    decode_blob,
-    decode_snapshot,
-    encode_blob,
-    encode_snapshot,
-)
-from repro.resilience.faults import (
-    FaultInjector,
-    FaultRecord,
-    InjectedCrash,
-    InjectedDivergence,
-    InjectedFault,
-    InjectedPreemption,
-    PlannedFault,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CHECKPOINT_SUFFIX",
-    "CheckpointError",
-    "CheckpointManager",
-    "FaultInjector",
-    "FaultRecord",
-    "FingerprintMismatchError",
-    "InjectedCrash",
-    "InjectedDivergence",
-    "InjectedFault",
-    "InjectedPreemption",
-    "PlannedFault",
-    "SNAPSHOT_VERSION",
-    "Snapshot",
-    "SnapshotCodec",
-    "SnapshotCorruptError",
-    "SnapshotError",
-    "SnapshotVersionError",
-    "corrupt_bytes",
-    "decode_blob",
-    "decode_snapshot",
-    "encode_blob",
-    "encode_snapshot",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.resilience.checkpoint": (
+        "CHECKPOINT_SUFFIX", "CheckpointError", "CheckpointManager",
+    ),
+    "repro.resilience.codec": (
+        "SNAPSHOT_VERSION", "FingerprintMismatchError", "Snapshot",
+        "SnapshotCodec", "SnapshotCorruptError", "SnapshotError",
+        "SnapshotVersionError", "corrupt_bytes", "decode_blob",
+        "decode_snapshot", "encode_blob", "encode_snapshot",
+    ),
+    "repro.resilience.faults": (
+        "FaultInjector", "FaultRecord", "InjectedCrash",
+        "InjectedDivergence", "InjectedFault", "InjectedPreemption",
+        "PlannedFault",
+    ),
+})
+
+if TYPE_CHECKING:
+    from repro.resilience.checkpoint import (
+        CHECKPOINT_SUFFIX,
+        CheckpointError,
+        CheckpointManager,
+    )
+    from repro.resilience.codec import (
+        SNAPSHOT_VERSION,
+        FingerprintMismatchError,
+        Snapshot,
+        SnapshotCodec,
+        SnapshotCorruptError,
+        SnapshotError,
+        SnapshotVersionError,
+        corrupt_bytes,
+        decode_blob,
+        decode_snapshot,
+        encode_blob,
+        encode_snapshot,
+    )
+    from repro.resilience.faults import (
+        FaultInjector,
+        FaultRecord,
+        InjectedCrash,
+        InjectedDivergence,
+        InjectedFault,
+        InjectedPreemption,
+        PlannedFault,
+    )

@@ -35,8 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hybrid import HybridScheduler
     from repro.service.telemetry import MetricsRegistry
 
-#: checkpoint file suffix inside a spool directory
-SUFFIX = ".ckpt"
+#: checkpoint file suffix inside a spool directory (the package exports
+#: it as ``CHECKPOINT_SUFFIX``)
+SUFFIX = CHECKPOINT_SUFFIX = ".ckpt"
 
 
 class CheckpointError(SnapshotError):

@@ -35,15 +35,10 @@ substrate the ROADMAP's "heavy traffic" north star builds on:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.service.admission import (
-    AdmissionDecision,
-    CostModel,
-    DeadlineAdmission,
-)
+from repro._lazy import lazy_exports
 from repro.service.cache import CacheError, PlanCache
-from repro.service.engine import JobEngine
 from repro.service.jobs import (
     BatchJob,
     ChecksFailedError,
@@ -71,6 +66,23 @@ from repro.service.telemetry import (
     MetricsRegistry,
     TelemetryEvent,
 )
+
+# the engine and admission load on use: a cluster worker imports the
+# job specs, cache and telemetry through this package and needs neither
+__getattr__, __dir__, _LAZY = lazy_exports(__name__, {
+    "repro.service.admission": (
+        "AdmissionDecision", "CostModel", "DeadlineAdmission",
+    ),
+    "repro.service.engine": ("JobEngine",),
+})
+
+if TYPE_CHECKING:
+    from repro.service.admission import (
+        AdmissionDecision,
+        CostModel,
+        DeadlineAdmission,
+    )
+    from repro.service.engine import JobEngine
 
 #: lint-gate policies: "off" skips the gate entirely, "warn" admits
 #: every job but streams findings as a ``checks`` telemetry event,
@@ -114,6 +126,9 @@ class SimulationService:
         self.cache = PlanCache(
             capacity=cache_capacity, metrics=self.metrics,
         )
+        from repro.service.admission import DeadlineAdmission
+        from repro.service.engine import JobEngine
+
         #: deadline-aware admission (repro.service.admission): predicted
         #: per-kind cost (EMA-calibrated from completed jobs) gates
         #: submission, rejecting jobs whose predicted completion already
@@ -253,14 +268,12 @@ class SimulationService:
 
 
 __all__ = [
-    "AdmissionDecision",
+    *_LAZY,
     "BatchJob",
     "CHECK_POLICIES",
     "CacheError",
     "ChecksFailedError",
     "CodegenJob",
-    "CostModel",
-    "DeadlineAdmission",
     "DeadlineInfeasible",
     "Counter",
     "EventEmitter",
@@ -268,7 +281,6 @@ __all__ = [
     "Histogram",
     "JobCancelledError",
     "JobContext",
-    "JobEngine",
     "JobError",
     "JobHandle",
     "JobSpec",

@@ -28,62 +28,40 @@ substrate: capsules stay event-driven here, while continuous behaviour runs
 on separate streamer threads and talks to capsules through SPorts.
 """
 
-from repro.umlrt.signal import Message, Priority, Signal
-from repro.umlrt.protocol import Protocol, ProtocolRole
-from repro.umlrt.port import Port, PortKind
-from repro.umlrt.statemachine import (
-    ChoicePoint,
-    State,
-    StateMachine,
-    Transition,
-    add_timeout_transition,
-)
-from repro.umlrt.capsule import Capsule, CapsulePart, PartKind
-from repro.umlrt.connector import Connector
-from repro.umlrt.controller import Controller
-from repro.umlrt.timing import TimerHandle, TimingService
-from repro.umlrt.frame import FrameService
-from repro.umlrt.runtime import RTRuntimeError, RTSystem
+from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
 
-def __getattr__(name: str):
-    # deprecated alias for RTRuntimeError; warns on use, not import
-    if name == "RuntimeError_":
-        import warnings
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.umlrt.signal": ("Message", "Priority", "Signal"),
+    "repro.umlrt.protocol": ("Protocol", "ProtocolRole"),
+    "repro.umlrt.port": ("Port", "PortKind"),
+    "repro.umlrt.statemachine": (
+        "ChoicePoint", "State", "StateMachine", "Transition",
+        "add_timeout_transition",
+    ),
+    "repro.umlrt.capsule": ("Capsule", "CapsulePart", "PartKind"),
+    "repro.umlrt.connector": ("Connector",),
+    "repro.umlrt.controller": ("Controller",),
+    "repro.umlrt.timing": ("TimerHandle", "TimingService"),
+    "repro.umlrt.frame": ("FrameService",),
+    "repro.umlrt.runtime": ("RTRuntimeError", "RTSystem"),
+})
 
-        warnings.warn(
-            "repro.umlrt.RuntimeError_ is deprecated; use "
-            "RTRuntimeError instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return RTRuntimeError
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
+if TYPE_CHECKING:
+    from repro.umlrt.signal import Message, Priority, Signal
+    from repro.umlrt.protocol import Protocol, ProtocolRole
+    from repro.umlrt.port import Port, PortKind
+    from repro.umlrt.statemachine import (
+        ChoicePoint,
+        State,
+        StateMachine,
+        Transition,
+        add_timeout_transition,
     )
-
-
-__all__ = [
-    "Capsule",
-    "CapsulePart",
-    "ChoicePoint",
-    "Connector",
-    "Controller",
-    "FrameService",
-    "Message",
-    "PartKind",
-    "Port",
-    "PortKind",
-    "Priority",
-    "Protocol",
-    "ProtocolRole",
-    "RTRuntimeError",
-    "RTSystem",
-    "Signal",
-    "State",
-    "StateMachine",
-    "TimerHandle",
-    "TimingService",
-    "Transition",
-    "add_timeout_transition",
-]
+    from repro.umlrt.capsule import Capsule, CapsulePart, PartKind
+    from repro.umlrt.connector import Connector
+    from repro.umlrt.controller import Controller
+    from repro.umlrt.timing import TimerHandle, TimingService
+    from repro.umlrt.frame import FrameService
+    from repro.umlrt.runtime import RTRuntimeError, RTSystem

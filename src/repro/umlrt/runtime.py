@@ -35,24 +35,6 @@ class RTRuntimeError(Exception):
     """Raised on illegal runtime operations (name avoids the builtin)."""
 
 
-def __getattr__(name: str) -> Any:
-    # deprecated alias kept importable for old callers; the module-level
-    # __getattr__ lets us warn on *use* instead of at import time
-    if name == "RuntimeError_":
-        import warnings
-
-        warnings.warn(
-            "repro.umlrt.RuntimeError_ is deprecated; use "
-            "RTRuntimeError instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return RTRuntimeError
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 class RTSystem:
     """A complete executable UML-RT system."""
 

@@ -9,6 +9,7 @@ just built.
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
@@ -101,3 +102,31 @@ class TestBuildIntegration:
         __, hit = build_artifact(self.SOURCE, "touched", tmp_path)
         assert hit is True
         assert so.stat().st_mtime > 100.0
+
+    @pytest.mark.parametrize("key", ["raced0", "raced1", "raced2"])
+    def test_concurrent_builds_of_one_key_share_the_artifact(
+        self, tmp_path, key,
+    ):
+        # two threads of one process building the same fresh key used to
+        # share a temp path, and one of them lost it to the other's rename
+        barrier = threading.Barrier(2)
+        results, errors = [], []
+
+        def build():
+            barrier.wait(timeout=30)
+            try:
+                results.append(build_artifact(self.SOURCE, key, tmp_path))
+            except Exception as exc:  # reported below, with its type
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build) for __ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert [so for so, __ in results] == [tmp_path / f"{key}.so"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{key}.c", f"{key}.so",
+        ]

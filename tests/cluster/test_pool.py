@@ -191,7 +191,7 @@ class TestAdmissionControl:
             # seed the cost model as if jobs took 10s each; a 0.1s
             # deadline behind a queue is then predictably hopeless
             pool.admission.cost_model.observe("single_run", 10.0)
-            assert pool._ema_wall == 10.0
+            assert pool.status()["cost_model"]["*"] == 10.0
             pool.submit(ClusterJobRequest(
                 kind="single_run", model="cruise",
                 params={"t_end": 30.0}, checkpoint=False,

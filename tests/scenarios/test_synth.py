@@ -1,6 +1,4 @@
-"""Scenario generators: the synth_dag move and the new families."""
-
-import warnings
+"""Scenario generators: synth_dag and the newer families."""
 
 import numpy as np
 import pytest
@@ -26,30 +24,6 @@ def _fingerprint(diagram):
 
 
 class TestSynthDagMove:
-    def test_old_import_path_still_works_with_warning(self):
-        from repro.core.opt import synth as old
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            via_shim = old.synth_dag(3, blocks=10)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), "the shim must warn about the move"
-        assert _fingerprint(via_shim) == _fingerprint(
-            synth_dag(3, blocks=10)
-        )
-
-    def test_package_reexport_unchanged(self):
-        # repro.core.opt re-exports the shim for old call sites
-        from repro.core.opt import synth_dag as via_pkg
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            d = via_pkg(1, blocks=8, sampled=True)
-        assert _fingerprint(d) == _fingerprint(
-            synth_dag(1, blocks=8, sampled=True)
-        )
-
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_seeded_determinism(self, seed):
         a = synth_dag(seed, blocks=12)

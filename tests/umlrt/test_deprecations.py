@@ -1,4 +1,5 @@
-"""Deprecated public names must warn on use and map to canonical ones."""
+"""Canonical public names resolve through the package's load-on-use
+table without warnings; removed aliases and unknown names raise."""
 
 import warnings
 
@@ -10,16 +11,6 @@ from repro.umlrt import RTRuntimeError
 
 
 class TestRuntimeErrorAlias:
-    def test_package_alias_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="RTRuntimeError"):
-            alias = repro.umlrt.RuntimeError_
-        assert alias is RTRuntimeError
-
-    def test_module_alias_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="RTRuntimeError"):
-            alias = repro.umlrt.runtime.RuntimeError_
-        assert alias is RTRuntimeError
-
     def test_canonical_name_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -30,9 +21,12 @@ class TestRuntimeErrorAlias:
 
     def test_canonical_name_exported(self):
         assert "RTRuntimeError" in repro.umlrt.__all__
+        assert "RTRuntimeError" in dir(repro.umlrt)
 
     def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.umlrt.NoSuchName_
-        with pytest.raises(AttributeError):
-            repro.umlrt.runtime.NoSuchName_
+        # the removed RuntimeError_ alias is now an unknown name too
+        for name in ("NoSuchName_", "RuntimeError_"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(repro.umlrt, name)
+            with pytest.raises(AttributeError):
+                getattr(repro.umlrt.runtime, name)
