@@ -19,7 +19,9 @@ of content:
   cross-process content-addressed artifact cache with *single-compile*
   semantics: concurrent :meth:`ArtifactStore.get_or_compile` calls for
   one missing key elect exactly one compiler via an ``O_CREAT|O_EXCL``
-  lock file; everyone else waits for the atomically-published artifact.
+  lock file (:mod:`repro._lockfile`, the election the native ``.so``
+  builds use too); everyone else waits for the atomically-published
+  artifact.
   Artifacts are CRC-framed, so a torn write is detected, dropped and
   recompiled rather than served.
 
@@ -33,11 +35,11 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import time
 import zlib
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro._lockfile import ElectionTimeout, elect, release
 from repro.resilience.checkpoint import SUFFIX
 from repro.resilience.codec import Snapshot, SnapshotError, decode_snapshot
 
@@ -246,79 +248,55 @@ class ArtifactStore:
         """The cached artifact for ``key``, compiling at most once
         *across every process sharing this store directory*.
 
-        The first process to create ``<key>.lock`` (``O_CREAT|O_EXCL``
-        — atomic on a local filesystem) runs the factory, publishes the
+        The process that wins the ``<key>.lock`` election
+        (:func:`repro._lockfile.elect`) runs the factory, publishes the
         artifact with an atomic rename, then removes the lock; everyone
         else polls for the artifact.  A lock older than
         ``lock_stale_after`` seconds is presumed orphaned (its owner was
         SIGKILLed mid-compile) and broken.  A corrupt resident artifact
         is dropped and recompiled instead of served.
         """
-        deadline = time.monotonic() + self.compile_timeout
         path = self._artifact_path(key)
         lock = path.with_suffix(".lock")
-        waited = False
-        while True:
-            if path.is_file():
+        found: List[Any] = []
+
+        def ready() -> bool:
+            if not path.is_file():
+                return False
+            try:
+                found.append(self.load_artifact(key))
+            except ArtifactCorruptError:
+                self.corrupt_dropped += 1
                 try:
-                    value = self.load_artifact(key)
-                except ArtifactCorruptError:
-                    self.corrupt_dropped += 1
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                else:
-                    self.artifact_hits += 1
-                    return value
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if not waited:
-                    waited = True
-                    self.lock_waits += 1
-                self._maybe_break_stale_lock(lock)
-                if time.monotonic() > deadline:
-                    raise ArtifactStoreError(
-                        f"timed out waiting {self.compile_timeout:g}s for "
-                        f"artifact {key!r} (lock {lock} held elsewhere)"
-                    )
-                time.sleep(0.01)
-                continue
-            try:
-                os.write(fd, f"{os.getpid()} {time.time()}\n".encode())
-            finally:
-                os.close(fd)
-            try:
-                # the artifact may have been published between our
-                # stat and the lock grab — serve it rather than recompile
-                if path.is_file():
-                    try:
-                        value = self.load_artifact(key)
-                        self.artifact_hits += 1
-                        return value
-                    except ArtifactCorruptError:
-                        self.corrupt_dropped += 1
-                value = factory()
-                self.put_artifact(key, value)
-                self.compiles += 1
-                return value
-            finally:
-                try:
-                    lock.unlink()
+                    path.unlink()
                 except OSError:
                     pass
+                return False
+            self.artifact_hits += 1
+            return True
 
-    def _maybe_break_stale_lock(self, lock: Path) -> None:
+        def waiting() -> None:
+            self.lock_waits += 1
+
         try:
-            age = time.time() - lock.stat().st_mtime
-        except OSError:
-            return  # already gone
-        if age > self.lock_stale_after:
-            try:
-                lock.unlink()
-            except OSError:
-                pass
+            won = elect(
+                lock, ready, self.compile_timeout, self.lock_stale_after,
+                on_wait=waiting,
+            )
+        except ElectionTimeout:
+            raise ArtifactStoreError(
+                f"timed out waiting {self.compile_timeout:g}s for "
+                f"artifact {key!r} (lock {lock} held elsewhere)"
+            ) from None
+        if not won:
+            return found[-1]
+        try:
+            value = factory()
+            self.put_artifact(key, value)
+            self.compiles += 1
+            return value
+        finally:
+            release(lock)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -20,7 +20,9 @@ from __future__ import annotations
 import re
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.codegen.common import CLang, LoweredModel, lower
+from repro.codegen.common import (
+    C_LIBM_DECLARATIONS, CLang, LoweredModel, lower,
+)
 from repro.dataflow.diagram import Diagram
 
 
@@ -136,7 +138,7 @@ def render_batch_kernel(
         f" * Source model: {model.name}",
         f" * Solver: {solver_name}",
         " */",
-        "#include <math.h>",
+        *C_LIBM_DECLARATIONS,
         "",
         f"#define NX {n_states}",
         f"#define NXS {max(1, n_states)}",

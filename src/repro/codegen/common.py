@@ -97,6 +97,21 @@ class PyLang(Lang):
         return f"(({then}) if ({cond}) else ({otherwise}))"
 
 
+#: the libm functions :class:`CLang` emits, as C declarations.  The
+#: shared-object kernels declare exactly these instead of including
+#: ``<math.h>``, which spares every build the header's preprocessing;
+#: their builds fail on an implicit declaration, so a function added to
+#: :class:`CLang` but missing here cannot slip through
+C_LIBM_DECLARATIONS = (
+    "double fmin(double, double);",
+    "double fmax(double, double);",
+    "double fabs(double);",
+    "double sin(double);",
+    "double floor(double);",
+    "double fmod(double, double);",
+)
+
+
 class CLang(Lang):
     name = "c"
 

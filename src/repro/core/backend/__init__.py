@@ -3,7 +3,8 @@
 Importing this package registers the five built-in backends
 (``interpreter``, ``compiled-python``, ``native-c``, ``batch``,
 ``native-batch``).  See :mod:`repro.core.backend.base` for the contract
-and the fallback-ladder resolver :func:`compile_program`.
+the fallback-ladder resolver :func:`compile_program` and the background
+build starter :func:`prefetch`.
 """
 
 from repro.core.backend.base import (
@@ -20,6 +21,7 @@ from repro.core.backend.base import (
     compile_program,
     fallback_chain,
     get_backend,
+    prefetch,
     register_backend,
 )
 from repro.core.backend.interpreter import (
@@ -63,6 +65,7 @@ __all__ = [
     "fallback_chain",
     "get_backend",
     "has_c_compiler",
+    "prefetch",
     "register_backend",
     "shard_bounds",
 ]

@@ -23,8 +23,8 @@ Registered backends:
     to the interpreter on fixed-step runs.
 ``native-c``
     The C emitters compiled to a shared object and loaded via ctypes,
-    with on-disk artifact caching keyed by the opt-aware plan
-    fingerprint.  Requires a C compiler; without one it degrades to
+    with on-disk artifacts keyed by a hash of the rendered source,
+    flags and compiler.  Requires a C compiler; without one it degrades to
     ``compiled-python`` through the fallback ladder.
 ``batch``
     The vectorised NumPy program (:mod:`repro.core.batch`) wrapped in
@@ -34,6 +34,10 @@ Registered backends:
     one row per instance, the instance loop inside the compiled step,
     the instance axis sharded across a thread pool.  Demotes to the
     NumPy ``batch`` program without a toolchain.
+
+Prefetch: :func:`prefetch` lets a caller start a backend's slow
+artifact build (gcc, for the native backends) before it needs the
+program; the later :func:`compile_program` joins that build.
 
 Fallback ladder: :func:`compile_program` walks :data:`FALLBACKS` until a
 backend compiles.  Every demotion emits a ``backend.fallback`` metric
@@ -68,8 +72,9 @@ class BackendUnavailable(BackendError):
     treats it as a demotion signal, not a failure."""
 
 
-#: bumped whenever the kernel renderers change shape, so stale on-disk
-#: native artifacts die by cache-key mismatch
+#: bumped whenever the kernel renderers change shape; part of a
+#: compiled program's snapshot identity (on-disk native artifacts are
+#: keyed by the rendered source itself, so they need no version)
 KERNEL_VERSION = 1
 
 #: scalar kernels inline the fixed-step solver loop; anything else
@@ -208,6 +213,10 @@ class ExecutionBackend:
     def compile(self, request: CompileRequest) -> BackendProgram:
         raise NotImplementedError
 
+    def prefetch(self, request: CompileRequest) -> None:
+        """Start the slow part of :meth:`compile` in the background
+        (the native backends launch gcc); nothing by default."""
+
 
 _BACKENDS: Dict[str, ExecutionBackend] = {}
 
@@ -294,6 +303,22 @@ def compile_program(
     raise BackendError(
         f"no backend in {chain} could compile the request"
     ) from last_error
+
+
+def prefetch(request: CompileRequest, backend: str) -> None:
+    """Start building ``backend``'s artifact for ``request`` in the
+    background, so a later :func:`compile_program` of the same request
+    only waits for what is left of it.
+
+    Silent whatever happens: a backend without artifacts, a host
+    without a compiler, an unsupported solver or a lowering error all
+    make this a no-op, and :func:`compile_program` reports them exactly
+    as it would without the prefetch.
+    """
+    try:
+        get_backend(backend).prefetch(request)
+    except Exception:  # compile_program raises or demotes on its own
+        pass
 
 
 def _note_fallback(

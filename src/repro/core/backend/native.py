@@ -2,9 +2,23 @@
 
 Renders a shared-object flavour of the C kernel (exported ``kernel_*``
 functions instead of a ``main``), compiles it with the host toolchain and
-loads it via :mod:`ctypes` (stdlib — no cffi dependency).  Artifacts are
-cached on disk keyed by the opt-aware plan fingerprint, so recompiling
-the same plan is a file-existence check.
+loads it via :mod:`ctypes` (stdlib — no cffi dependency).
+
+Artifacts are content-addressed: ``<key>.so``, where the key hashes what
+gcc actually sees — the rendered source, :data:`CFLAGS` and the compiler
+path (:func:`content_key`).  Two requests that render the same C (one
+plan at O0 and O1, say) therefore share one build, and any change to the
+renderer misses by construction.  A build has two halves.
+:func:`start_build` writes the ``.c`` and launches gcc in the background
+(:class:`subprocess.Popen`, no Python threads).
+:func:`build_artifact` waits for it, joining a build of the same source
+already in flight in this process instead of starting a second one.
+Across processes an ``O_CREAT|O_EXCL`` ``<key>.lock`` beside the
+artifact elects one builder (:mod:`repro._lockfile`); the others poll
+for the ``.so``.  :meth:`NativeBackend.prefetch` renders a request's
+kernel and starts its build, so gcc runs while the caller does other
+work.  A build nobody joins is finished by the next build call or
+killed at interpreter exit, leaving no temp file, lock or zombie.
 
 Bitwise parity: every expression is emitted by the same
 :mod:`repro.codegen.common` emitters; ``repr`` float literals round-trip
@@ -21,18 +35,23 @@ never failing the run.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
+import hashlib
 import math
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.codegen.common import CLang
+from repro._lockfile import ElectionTimeout, elect, release
+from repro.codegen.common import C_LIBM_DECLARATIONS, CLang
 from repro.core.backend.base import (
     BackendError, BackendProgram, BackendUnavailable, CompileRequest,
     ExecutionBackend, KERNEL_VERSION, ProgramResult, kernel_solver_name,
@@ -41,8 +60,25 @@ from repro.core.backend.base import (
 from repro.core.backend.pykernel import kernel_tables
 
 #: flags shared by every artifact build; ``-ffp-contract=off`` is load-
-#: bearing for bitwise parity (no FMA), ``-shared -fPIC`` for dlopen
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: bearing for bitwise parity (no FMA), ``-shared -fPIC`` for dlopen, and
+#: the kernels declare their libm functions themselves instead of
+#: including ``<math.h>``, so an undeclared one must fail the build
+CFLAGS = (
+    "-O2", "-fPIC", "-shared", "-ffp-contract=off",
+    "-Werror=implicit-function-declaration",
+)
+
+#: libraries linked after the source (part of every artifact key too)
+LIBS = ("-lm",)
+
+#: seconds a build waits for another process's ``<key>.lock``
+BUILD_TIMEOUT_S = 120.0
+
+#: a ``<key>.lock`` older than this is an orphan of a killed process
+LOCK_STALE_S = 60.0
+
+#: the demotion reason every native path gives when no compiler is found
+NO_COMPILER = "no C compiler on this host (checked $CC, cc, gcc, clang)"
 
 
 def find_c_compiler() -> Optional[str]:
@@ -79,6 +115,13 @@ def default_cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / "repro-native-cache"
 
 
+def request_cache_dir(request: CompileRequest) -> Path:
+    """The artifact directory of a request (None: the process default)."""
+    if request.cache_dir is not None:
+        return Path(request.cache_dir)
+    return default_cache_dir()
+
+
 def cache_limit_bytes() -> Optional[int]:
     """The artifact-cache size cap (``$REPRO_NATIVE_CACHE_MAX_MB``), or
     None when unbounded (the default)."""
@@ -101,12 +144,14 @@ def sweep_cache(
 ) -> List[Path]:
     """Evict least-recently-used artifacts until the cache fits.
 
-    Artifacts are grouped by fingerprint key (``<key>.so`` + ``<key>.c``
+    Artifacts are grouped by content key (``<key>.so`` + ``<key>.c``
     evict together) and ranked by the ``.so``'s mtime — loads touch it
     (:func:`build_artifact`), so mtime order is LRU order.  ``protect``
-    exempts the key just built/loaded.  Returns the removed paths.
-    Errors (racing processes, read-only dirs) are swallowed: the sweep
-    is best-effort hygiene, never a build failure.
+    exempts the key just built/loaded, and so does a ``<key>.lock``: a
+    build here or in another process is still reading its ``.c``.
+    Returns the removed paths.  Errors (racing processes, read-only
+    dirs) are swallowed: the sweep is best-effort hygiene, never a build
+    failure.
     """
     if limit_bytes is None:
         limit_bytes = cache_limit_bytes()
@@ -117,10 +162,12 @@ def sweep_cache(
         entries = list(cache_dir.iterdir())
     except OSError:
         return []
+    busy = set()
     for path in entries:
-        if path.suffix not in (".so", ".c"):
-            continue
-        groups.setdefault(path.stem, []).append(path)
+        if path.suffix == ".lock":
+            busy.add(path.stem)
+        elif path.suffix in (".so", ".c"):
+            groups.setdefault(path.stem, []).append(path)
     ranked = []
     total = 0
     for key, paths in groups.items():
@@ -141,7 +188,7 @@ def sweep_cache(
     for mtime, key, size, paths in ranked:
         if total <= limit_bytes:
             break
-        if protect is not None and key == protect:
+        if key == protect or key in busy:
             continue
         for path in paths:
             try:
@@ -201,7 +248,7 @@ def render_c_kernel(model, solver_name: str) -> str:
         f" * Source model: {model.name}",
         f" * Solver: {solver_name}",
         " */",
-        "#include <math.h>",
+        *C_LIBM_DECLARATIONS,
         "",
         f"#define NS {n_states}",
         f"#define NSAFE {max(1, n_states)}",
@@ -310,6 +357,16 @@ def render_c_kernel(model, solver_name: str) -> str:
 # ----------------------------------------------------------------------
 # artifact cache
 # ----------------------------------------------------------------------
+def content_key(source: str, compiler: str) -> str:
+    """The artifact name: a hash of everything gcc sees — the compiler
+    path, :data:`CFLAGS`, :data:`LIBS` and the rendered source."""
+    digest = hashlib.sha256()
+    for part in (compiler, *CFLAGS, *LIBS, source):
+        digest.update(part.encode())
+        digest.update(b"\0")
+    return digest.hexdigest()[:40]
+
+
 def _temp_path(cache_dir: Path, key: str, suffix: str) -> Path:
     """A fresh, uniquely named empty file in ``cache_dir``."""
     fd, name = tempfile.mkstemp(
@@ -319,43 +376,205 @@ def _temp_path(cache_dir: Path, key: str, suffix: str) -> Path:
     return Path(name)
 
 
-def build_artifact(
-    source: str, key: str, cache_dir: Path
-) -> Tuple[Path, bool]:
-    """Ensure ``<key>.so`` exists in ``cache_dir``; returns
-    ``(so_path, cache_hit)``.  Raises :class:`BackendUnavailable` when no
-    compiler is found or the build fails."""
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    c_path = cache_dir / f"{key}.c"
-    so_path = cache_dir / f"{key}.so"
-    if so_path.exists():
+class _Build:
+    """One gcc run this process launched, from start to finish."""
+
+    def __init__(self, source: str, compiler: str, so_path: Path) -> None:
+        key = so_path.stem
+        self.so_path = so_path
+        self.lock = so_path.with_suffix(".lock")
+        # temp names are unique per call and each lands by atomic
+        # rename, so a build racing a broken stale lock never shares one
+        c_path = so_path.with_suffix(".c")
+        c_tmp = _temp_path(so_path.parent, key, ".c.tmp")
+        c_tmp.write_text(source)
+        os.replace(c_tmp, c_path)
+        self.tmp_path = _temp_path(so_path.parent, key, ".so.tmp")
+        self.cmd = [
+            compiler, *CFLAGS, "-o", str(self.tmp_path), str(c_path), *LIBS,
+        ]
+        # a session of its own, so killing an abandoned build takes its
+        # cc1/as/ld children along
+        self.proc = subprocess.Popen(
+            self.cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        self.guard = threading.Lock()
+        self.done = False
+        self.error: Optional[str] = "C build abandoned"
+
+
+#: builds this process launched and nobody has joined yet, by artifact
+#: path; a finished build stays listed until it is joined, so the call
+#: it was started for still reports its gcc run as a cache miss
+_IN_FLIGHT: Dict[Path, _Build] = {}
+_TABLE_LOCK = threading.Lock()
+
+
+def _finish(build: _Build) -> Path:
+    """Wait for ``build``'s gcc and publish its ``.so`` (once, by
+    whoever asks first); raises :class:`BackendUnavailable` when gcc
+    failed.  Leaves no temp file, lock or zombie behind."""
+    with build.guard:
+        if not build.done:
+            try:
+                __, stderr = build.proc.communicate()
+                if build.proc.returncode == 0:
+                    os.replace(build.tmp_path, build.so_path)
+                    build.error = None
+                else:
+                    build.error = (
+                        f"C build failed ({' '.join(build.cmd[:2])}...): "
+                        f"{stderr.strip()[-500:]}"
+                    )
+            finally:
+                if build.proc.poll() is None:  # interrupted mid-wait
+                    _kill(build.proc)
+                build.tmp_path.unlink(missing_ok=True)
+                release(build.lock)
+                build.done = True
+            if build.error is None:
+                sweep_cache(build.so_path.parent, protect=build.so_path.stem)
+    if build.error is not None:
+        raise BackendUnavailable(build.error)
+    return build.so_path
+
+
+def _kill(proc: subprocess.Popen) -> None:
+    """Stop a build's whole process group and reap its gcc."""
+    for sig in (signal.SIGTERM, signal.SIGKILL):
         try:
-            os.utime(so_path)  # touch: mtime is the LRU rank
+            os.killpg(proc.pid, sig)
         except OSError:
             pass
-        return so_path, True
+        try:
+            proc.communicate(timeout=5)
+            return
+        except subprocess.TimeoutExpired:
+            pass
+
+
+def _reap(kill: bool = False) -> None:
+    """Finish every listed build whose gcc has exited.  A prefetched
+    build may never be joined (a scenario returns on its first
+    divergence), so each build call collects those: the artifact lands
+    and the child, its temp file and its lock go.  At interpreter exit
+    (``kill``) the builds still running are killed first, so no gcc
+    outlives the process."""
+    with _TABLE_LOCK:
+        builds = [build for build in _IN_FLIGHT.values() if not build.done]
+    for build in builds:
+        if build.proc.poll() is None:
+            if not kill:
+                continue
+            _kill(build.proc)
+        try:
+            _finish(build)
+        except BackendUnavailable:
+            pass  # kept listed: the call that joins it raises this
+
+
+atexit.register(_reap, kill=True)
+
+
+def _forget_parent_builds() -> None:
+    """A forked child owns none of its parent's builds."""
+    global _TABLE_LOCK
+    _TABLE_LOCK = threading.Lock()
+    _IN_FLIGHT.clear()
+
+
+os.register_at_fork(after_in_child=_forget_parent_builds)
+
+
+def _claim(
+    source: str, cache_dir: Path, timeout: float
+) -> Tuple[Path, Optional[_Build], bool]:
+    """Find or start the build of ``source``'s artifact.
+
+    Returns ``(so_path, build, waited)``: ``build`` is the listed build
+    of this process (joined or just launched) or None when the ``.so``
+    exists; ``waited`` says another process's build was polled for.
+    Raises :class:`BackendUnavailable` without a compiler and
+    :class:`~repro._lockfile.ElectionTimeout` when another process
+    holds the lock past ``timeout`` (0: do not wait at all).
+    """
     compiler = find_c_compiler()
     if compiler is None:
-        raise BackendUnavailable(
-            "no C compiler on this host (checked $CC, cc, gcc, clang)"
-        )
-    # every temp name is unique per call, so threads or processes
-    # building the same key never share one; each lands by atomic rename
-    c_tmp = _temp_path(cache_dir, key, ".c.tmp")
-    c_tmp.write_text(source)
-    os.replace(c_tmp, c_path)
-    tmp_path = _temp_path(cache_dir, key, ".so.tmp")
-    cmd = [compiler, *CFLAGS, "-o", str(tmp_path), str(c_path), "-lm"]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        tmp_path.unlink(missing_ok=True)
-        raise BackendUnavailable(
-            f"C build failed ({' '.join(cmd[:2])}...): "
-            f"{proc.stderr.strip()[-500:]}"
-        )
-    os.replace(tmp_path, so_path)
-    sweep_cache(cache_dir, protect=key)
-    return so_path, False
+        raise BackendUnavailable(NO_COMPILER)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    _reap()
+    so_path = cache_dir / f"{content_key(source, compiler)}.so"
+    lock = so_path.with_suffix(".lock")
+    waited: List[bool] = []
+
+    def ready() -> bool:
+        return so_path in _IN_FLIGHT or so_path.exists()
+
+    while True:
+        build = _IN_FLIGHT.get(so_path)
+        if build is not None:
+            return so_path, build, bool(waited)
+        if so_path.exists():
+            return so_path, None, bool(waited)
+        if elect(
+            lock, ready, timeout, LOCK_STALE_S,
+            on_wait=lambda: waited.append(True),
+        ):
+            break
+    try:
+        build = _Build(source, compiler, so_path)
+    except BaseException:
+        release(lock)
+        raise
+    with _TABLE_LOCK:
+        _IN_FLIGHT[so_path] = build
+    return so_path, build, False
+
+
+def start_build(source: str, cache_dir: Path) -> None:
+    """Launch gcc for ``source`` in the background and return at once.
+
+    Nothing happens when its artifact exists, when this process is
+    already building it, or when another process holds its lock.  The
+    build lands when :func:`build_artifact` joins it, or when a later
+    build call or interpreter exit collects it.  Raises
+    :class:`BackendUnavailable` without a compiler.
+    """
+    try:
+        _claim(source, cache_dir, timeout=0)
+    except ElectionTimeout:
+        pass  # another process is building it
+
+
+def build_artifact(source: str, cache_dir: Path) -> Tuple[Path, bool]:
+    """Ensure ``source``'s artifact exists in ``cache_dir``; returns
+    ``(so_path, cache_hit)``.
+
+    This is the call that waits for gcc: it joins this process's build
+    of the same source (a :func:`start_build`) instead of starting a
+    second one, and polls while another process holds the lock.
+    ``cache_hit`` is True only when no gcc run was waited for.  Raises
+    :class:`BackendUnavailable` when no compiler is found, the build
+    fails, or another process's build does not land in time.
+    """
+    try:
+        so_path, build, waited = _claim(source, cache_dir, BUILD_TIMEOUT_S)
+    except ElectionTimeout as exc:
+        raise BackendUnavailable(str(exc)) from None
+    if build is None:
+        if not waited:
+            try:
+                os.utime(so_path)  # touch: mtime is the LRU rank
+            except OSError:
+                pass
+        return so_path, not waited
+    try:
+        return _finish(build), False
+    finally:
+        with _TABLE_LOCK:
+            if _IN_FLIGHT.get(so_path) is build:
+                del _IN_FLIGHT[so_path]
 
 
 _DP = ctypes.POINTER(ctypes.c_double)
@@ -444,7 +663,15 @@ class NativeProgram(BackendProgram):
         return [label for label, __ in self._model.records]
 
     def fingerprint(self) -> str:
-        return artifact_key(self._plan, self._model, self._solver_name)
+        """The snapshot identity: opt-aware plan fingerprint plus
+        everything else baked into the rendered source."""
+        return self._plan.fingerprint(extra={
+            "backend": "native-c",
+            "solver": self._solver_name,
+            "records": tuple(label for label, __ in self._model.records),
+            "x0": tuple(repr(float(v)) for v in self._model.initial_state),
+            "kernel": KERNEL_VERSION,
+        })
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -560,38 +787,28 @@ class NativeProgram(BackendProgram):
         )
 
 
-def artifact_key(plan, model, solver_name: str) -> str:
-    """The on-disk artifact identity: opt-aware plan fingerprint plus
-    everything else baked into the rendered source."""
-    return plan.fingerprint(extra={
-        "backend": "native-c",
-        "solver": solver_name,
-        "records": tuple(label for label, __ in model.records),
-        "x0": tuple(repr(float(v)) for v in model.initial_state),
-        "kernel": KERNEL_VERSION,
-    })
-
-
 class NativeBackend(ExecutionBackend):
     name = "native-c"
 
-    def compile(self, request: CompileRequest) -> NativeProgram:
+    def _render(self, request: CompileRequest) -> Tuple[Any, str, str]:
         solver_name = kernel_solver_name(request)
         if not has_c_compiler():
-            raise BackendUnavailable(
-                "no C compiler on this host (checked $CC, cc, gcc, clang)"
-            )
+            raise BackendUnavailable(NO_COMPILER)
         model = lower_request(request, CLang())
-        source = render_c_kernel(model, solver_name)
-        key = artifact_key(model.plan, model, solver_name)
-        cache_dir = (
-            Path(request.cache_dir) if request.cache_dir is not None
-            else default_cache_dir()
+        return model, solver_name, render_c_kernel(model, solver_name)
+
+    def compile(self, request: CompileRequest) -> NativeProgram:
+        model, solver_name, source = self._render(request)
+        so_path, cache_hit = build_artifact(
+            source, request_cache_dir(request),
         )
-        so_path, cache_hit = build_artifact(source, key, cache_dir)
         return NativeProgram(
             model, solver_name, request.h, so_path, cache_hit, source
         )
+
+    def prefetch(self, request: CompileRequest) -> None:
+        __, __, source = self._render(request)
+        start_build(source, request_cache_dir(request))
 
 
 register_backend(NativeBackend())

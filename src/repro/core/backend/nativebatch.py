@@ -5,9 +5,12 @@ lowers, but rendered by :func:`repro.codegen.cgen.render_batch_kernel`
 into an N-instance translation unit: one contiguous row per instance
 (``X[n][nx]``, ``P[n][np]``, ``H[n][nh]``), the instance loop inside the
 compiled step/sync/record drivers, batch size a runtime argument.  One
-artifact therefore serves any N — the cache key is the opt-aware plan
-fingerprint plus solver/records/sweep-paths/:data:`KERNEL_VERSION`,
-never the instance count.
+artifact therefore serves any N: artifacts are named by a hash of the
+rendered source, flags and compiler (the ``native-c`` build path,
+:func:`repro.core.backend.native.build_artifact`), and neither the
+instance count nor the initial state is baked into the source.
+:meth:`NativeBatchBackend.prefetch` renders the kernel and starts its
+gcc run in the background; the simulator's build later joins it.
 
 Bitwise parity: per instance the kernel applies exactly the scalar
 native kernel's arithmetic — same emitters, same solver-stage grouping,
@@ -40,11 +43,12 @@ import numpy as np
 
 from repro.core.backend.base import (
     BackendError, BackendUnavailable, CompileRequest, ExecutionBackend,
-    KERNEL_VERSION, kernel_solver_name, register_backend,
+    kernel_solver_name, register_backend,
 )
 from repro.core.backend.batchentry import BatchProgramAdapter
 from repro.core.backend.native import (
-    build_artifact, default_cache_dir, has_c_compiler,
+    NO_COMPILER, build_artifact, default_cache_dir, has_c_compiler,
+    request_cache_dir, start_build,
 )
 
 _DP = ctypes.POINTER(ctypes.c_double)
@@ -82,18 +86,31 @@ def shard_bounds(n: int, shards: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def batch_artifact_key(model, solver_name: str, sweep_paths) -> str:
-    """The on-disk artifact identity.  Deliberately N-independent: the
-    batch size is a runtime argument of the kernel, so one compile
-    serves every instance count (and any x0 override — initial state is
-    passed in, not baked)."""
-    return model.plan.fingerprint(extra={
-        "backend": "native-batch",
-        "solver": solver_name,
-        "records": tuple(label for label, __ in model.records),
-        "sweep_paths": tuple(sweep_paths),
-        "kernel": KERNEL_VERSION,
-    })
+def batch_kernel_source(program, solver_name: str) -> str:
+    """The N-instance C source of a native-lowered batch program;
+    :class:`BackendUnavailable` when it has no C lowering or a swept
+    parameter did not survive into the source."""
+    model = program.native_model
+    if model is None:
+        raise BackendUnavailable(
+            "batch program was compiled without the native lowering "
+            "(compile_batch_program(..., native=True))"
+        )
+    from repro.codegen.cgen import render_batch_kernel
+    from repro.codegen.common import CodegenError
+
+    try:
+        source = render_batch_kernel(
+            model, solver_name, len(program.sweep_paths),
+        )
+    except CodegenError as exc:
+        raise BackendUnavailable(str(exc)) from exc
+    for var, path in enumerate(program.sweep_paths):
+        if f"P[{var}]" not in source:
+            raise BackendUnavailable(
+                f"sweep {path!r}: symbol folded out of the C lowering"
+            )
+    return source
 
 
 def _load_batch(so_path: Path) -> ctypes.CDLL:
@@ -148,34 +165,15 @@ class NativeBatchKernel:
         shards: Optional[int] = None,
         cache_dir: Optional[Path] = None,
     ) -> None:
-        model = program.native_model
-        if model is None:
-            raise BackendUnavailable(
-                "batch program was compiled without the native lowering "
-                "(compile_batch_program(..., native=True))"
-            )
         if not has_c_compiler():
-            raise BackendUnavailable(
-                "no C compiler on this host (checked $CC, cc, gcc, clang)"
-            )
-        from repro.codegen.cgen import render_batch_kernel
-        from repro.codegen.common import CodegenError
+            raise BackendUnavailable(NO_COMPILER)
+        source = batch_kernel_source(program, solver_name)
         from repro.core.backend.pykernel import kernel_tables
 
         n_params = len(program.sweep_paths)
-        try:
-            tables = kernel_tables(model)
-            source = render_batch_kernel(model, solver_name, n_params)
-        except CodegenError as exc:
-            raise BackendUnavailable(str(exc)) from exc
-        for path, var in zip(program.sweep_paths, range(n_params)):
-            if f"P[{var}]" not in source:
-                raise BackendUnavailable(
-                    f"sweep {path!r}: symbol folded out of the C lowering"
-                )
-        key = batch_artifact_key(model, solver_name, program.sweep_paths)
+        tables = kernel_tables(program.native_model)
         so_path, cache_hit = build_artifact(
-            source, key, cache_dir or default_cache_dir()
+            source, Path(cache_dir) if cache_dir else default_cache_dir(),
         )
         try:
             self._lib = _load_batch(so_path)
@@ -347,9 +345,7 @@ class NativeBatchBackend(ExecutionBackend):
             )
         solver_name = kernel_solver_name(request)
         if not has_c_compiler():
-            raise BackendUnavailable(
-                "no C compiler on this host (checked $CC, cc, gcc, clang)"
-            )
+            raise BackendUnavailable(NO_COMPILER)
         try:
             simulator = BatchSimulator(
                 diagram=request.diagram,
@@ -373,6 +369,25 @@ class NativeBatchBackend(ExecutionBackend):
                 or "native batch kernel unavailable"
             )
         return NativeBatchAdapter(simulator)
+
+    def prefetch(self, request: CompileRequest) -> None:
+        from repro.core.batch import batch_program
+
+        solver_name = kernel_solver_name(request)
+        if not has_c_compiler():
+            return
+        # the program lands in the shared program cache, so the
+        # simulator compile() builds later finds it lowered already
+        program = batch_program(
+            request.diagram, records=request.records,
+            sweep_paths=tuple(request.sweeps or ()),
+            opt_level=request.opt_level, opt_config=request.opt_config,
+            native=True,
+        )
+        start_build(
+            batch_kernel_source(program, solver_name),
+            request_cache_dir(request),
+        )
 
 
 register_backend(NativeBatchBackend())

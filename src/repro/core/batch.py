@@ -475,6 +475,39 @@ def _resolve_param(diagram: Diagram, path: str) -> Tuple[Streamer, str]:
     return node, key
 
 
+def batch_program(
+    diagram: Diagram,
+    records: Optional[List[str]] = None,
+    sweep_paths: Sequence[str] = (),
+    opt_level: int = 0,
+    opt_config=None,
+    native: bool = False,
+    cache: Any = None,
+) -> BatchProgram:
+    """:func:`compile_batch_program` through a program cache: the
+    process-wide :func:`shared_program_cache` (``cache=None``), a
+    caller's cache, or none (``cache=False``)."""
+    from repro.core.opt import resolve_config
+
+    config = resolve_config(opt_level, opt_config)
+    sweep_paths = tuple(sorted(sweep_paths))
+
+    def compile_program() -> BatchProgram:
+        return compile_batch_program(
+            diagram, records=records, sweep_paths=sweep_paths,
+            opt_config=config, native=native,
+        )
+
+    if cache is False:
+        return compile_program()
+    store = shared_program_cache() if cache is None else cache
+    key = batch_program_cache_key(
+        diagram, records=records, sweep_paths=sweep_paths,
+        opt_config=config, native=native,
+    )
+    return store.get_or_compile(key, compile_program)
+
+
 class BatchSimulator:
     """Integrate N instances of one diagram as a single state matrix.
 
@@ -587,26 +620,11 @@ class BatchSimulator:
                 raise BatchError(
                     "need either a diagram or a precompiled program"
                 )
-            from repro.core.opt import resolve_config
-
-            config = resolve_config(opt_level, opt_config)
-            sweep_paths = tuple(sorted(sweep_values))
-
-            def compile_program() -> BatchProgram:
-                return compile_batch_program(
-                    diagram, records=records, sweep_paths=sweep_paths,
-                    opt_config=config, native=native_wanted,
-                )
-
-            if cache is False:
-                program = compile_program()
-            else:
-                store = shared_program_cache() if cache is None else cache
-                key = batch_program_cache_key(
-                    diagram, records=records, sweep_paths=sweep_paths,
-                    opt_config=config, native=native_wanted,
-                )
-                program = store.get_or_compile(key, compile_program)
+            program = batch_program(
+                diagram, records=records, sweep_paths=tuple(sweep_values),
+                opt_level=opt_level, opt_config=opt_config,
+                native=native_wanted, cache=cache,
+            )
         elif tuple(sorted(sweep_values)) != program.sweep_paths:
             raise BatchError(
                 f"sweep paths {tuple(sorted(sweep_values))} do not match "

@@ -244,20 +244,32 @@ def _run_differential(
     interpreter *at its own level* bitwise — backend and interpreter
     execute the same optimized plan, so even a reassociated O2 plan
     leaves them no excuse to differ in a single ulp.
+
+    Every compiled backend's request is prefetched first, so the native
+    kernels build in the background while the interpreter runs.
     """
-    from repro.core.backend import CompileRequest, compile_program
+    from repro.core.backend import CompileRequest, compile_program, prefetch
 
     solver = spec.params.get("solver", "rk4")
     mutate = spec.seed in config.mutate_seeds
     levels = tuple(config.opt_levels) or (0,)
-    interp: Dict[int, Any] = {}
-    reassociated: Dict[int, bool] = {}
-    for level in levels:
-        request = CompileRequest(
+
+    def request_at(level: int) -> CompileRequest:
+        return CompileRequest(
             diagram=spec.build(), solver=solver, h=config.h,
             opt_level=level,
         )
-        program = compile_program(request, "interpreter")
+
+    compiled = {
+        (backend, level): request_at(level)
+        for backend in config.resolved_backends() for level in levels
+    }
+    for (backend, __), request in compiled.items():
+        prefetch(request, backend)
+    interp: Dict[int, Any] = {}
+    reassociated: Dict[int, bool] = {}
+    for level in levels:
+        program = compile_program(request_at(level), "interpreter")
         rec.plan(program.plan)
         if level:
             rec.opt_report(program.plan)
@@ -276,24 +288,18 @@ def _run_differential(
             detail = _diff_series(interp[base], interp[level], label)
         if detail:
             return detail
-    for backend in config.resolved_backends():
-        for level in levels:
-            request = CompileRequest(
-                diagram=spec.build(), solver=solver, h=config.h,
-                opt_level=level,
-            )
-            program = compile_program(request, backend)
-            rec.backend(program.backend)
-            result = program.run(config.t_end)
-            if mutate:
-                _mutate_result(result)
-            detail = _diff_series(
-                interp[level], result,
-                f"{backend} (ran {program.backend}) O{level} "
-                "vs interpreter",
-            )
-            if detail:
-                return detail
+    for (backend, level), request in compiled.items():
+        program = compile_program(request, backend)
+        rec.backend(program.backend)
+        result = program.run(config.t_end)
+        if mutate:
+            _mutate_result(result)
+        detail = _diff_series(
+            interp[level], result,
+            f"{backend} (ran {program.backend}) O{level} vs interpreter",
+        )
+        if detail:
+            return detail
     return None
 
 
@@ -346,8 +352,11 @@ def _run_batch(
     O1 (and at O2 when the fuser left the plan alone), within
     ``reassoc_rtol`` when the O2 plan actually reassociated arithmetic
     (``_plan_reassociates``).  Without a compiler the leg is skipped —
-    the NumPy comparison above already covered the semantics.
+    the NumPy comparison above already covered the semantics.  Its
+    kernels are prefetched before the NumPy and sequential runs, so gcc
+    works while they do.
     """
+    from repro.core.backend import CompileRequest, prefetch
     from repro.core.backend.base import KERNEL_SOLVERS
     from repro.core.backend.native import has_c_compiler
     from repro.core.batch import BatchSimulator, simulate_sequential
@@ -369,6 +378,14 @@ def _run_batch(
                     round(base * (0.8 + 0.1 * i), 6) for i in range(n)
                 ],
             }
+    levels = tuple(config.opt_levels) or (0,)
+    native = has_c_compiler() and solver in KERNEL_SOLVERS
+    if native:
+        for level in levels:
+            prefetch(CompileRequest(
+                diagram=spec.build(), solver=solver, h=config.h, n=n,
+                sweeps=sweeps, opt_level=level,
+            ), "native-batch")
     simulator = BatchSimulator(
         diagram=diagram, n=n, solver=solver, h=config.h, sweeps=sweeps,
     )
@@ -389,9 +406,9 @@ def _run_batch(
     detail = _diff_batch(sequential, batch, "batch vs sequential")
     if detail:
         return detail
-    if not has_c_compiler() or solver not in KERNEL_SOLVERS:
+    if not native:
         return None
-    for level in tuple(config.opt_levels) or (0,):
+    for level in levels:
         native_sim = BatchSimulator(
             diagram=spec.build(), n=n, solver=solver, h=config.h,
             sweeps=sweeps, opt_level=level, backend="native-batch",
