@@ -301,11 +301,14 @@ def render_batch_kernel(
 
 
 def _render(model: LoweredModel, default_h: float, t_end: float) -> str:
+    lang = CLang()
     n_states = len(model.initial_state)
     held_decls: List[str] = []
     for node in model.plan.nodes:
         for name, value in model.code[node.index].held_vars:
-            held_decls.append(f"static double {name} = {float(value)!r};")
+            held_decls.append(
+                f"static double {name} = {lang.literal(float(value))};"
+            )
 
     signals = sorted({
         line.split(" = ")[0]
@@ -332,7 +335,9 @@ def _render(model: LoweredModel, default_h: float, t_end: float) -> str:
     out.append(f"#define N_STATES {n_states}")
     out.append(f"#define N_SIGNALS {len(signals)}")
     out.append("")
-    init = ", ".join(repr(float(v)) for v in model.initial_state) or "0.0"
+    init = ", ".join(
+        lang.literal(float(v)) for v in model.initial_state
+    ) or "0.0"
     out.append(f"static const double initial_state[] = {{{init}}};")
     out.extend(held_decls)
     out.append("")

@@ -16,6 +16,7 @@ extension point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -42,7 +43,18 @@ class Lang:
     name = "abstract"
 
     def num(self, value: float) -> str:
-        return repr(float(value))
+        return self.literal(float(value))
+
+    def literal(self, value: float) -> str:
+        """``value`` spelled as a constant of the target.  ``repr``
+        spells a non-finite value ``inf``/``nan``, which no target
+        accepts, so those go through :meth:`non_finite`."""
+        if math.isfinite(value):
+            return repr(value)
+        return self.non_finite(value)
+
+    def non_finite(self, value: float) -> str:
+        return f"float('{value!r}')"
 
     def min(self, a: str, b: str) -> str:
         raise NotImplementedError
@@ -115,6 +127,12 @@ C_LIBM_DECLARATIONS = (
 class CLang(Lang):
     name = "c"
 
+    def non_finite(self, value):
+        # plain C99 without <math.h>, which the kernels do not include
+        if math.isnan(value):
+            return "(0.0 / 0.0)"
+        return "(1.0 / 0.0)" if value > 0 else "(-1.0 / 0.0)"
+
     def min(self, a, b):
         return f"fmin({a}, {b})"
 
@@ -155,7 +173,38 @@ class CBatchLang(CLang):
         symbol = getattr(value, "symbol", None)
         if symbol is not None:
             return symbol
-        return repr(float(value))
+        return self.literal(float(value))
+
+
+def keeps_literal(value: float) -> bool:
+    """True for the values :class:`CParamLang` leaves in the source:
+    zero and signed powers of two (never a non-finite value)."""
+    return value == 0.0 or abs(math.frexp(value)[0]) == 0.5
+
+
+class CParamLang(CLang):
+    """The C dialect of the scalar native kernel: parameters as data.
+
+    ``num`` appends each value to :attr:`params` and emits ``P[j]``, so
+    the rendered source depends on the model's structure alone and a
+    re-tuned model reuses its compiled kernel.  Zero and signed powers
+    of two (:func:`keeps_literal`) stay literals: gcc folds ``1.0 * v``
+    and turns ``v / 0.5`` into ``v * 2.0`` only when it sees the
+    constant, and lifting those made the 204-block loop's O0 kernel ten
+    times slower.  Non-finite values are always lifted.  A lowering
+    needs a fresh instance; its :attr:`params` is that kernel's
+    parameter vector.
+    """
+
+    def __init__(self) -> None:
+        self.params: List[float] = []
+
+    def num(self, value):
+        value = float(value)
+        if keeps_literal(value):
+            return repr(value)
+        self.params.append(value)
+        return f"P[{len(self.params) - 1}]"
 
 
 class NumpyLang(Lang):
@@ -174,7 +223,7 @@ class NumpyLang(Lang):
         symbol = getattr(value, "symbol", None)
         if symbol is not None:
             return symbol
-        return repr(float(value))
+        return self.literal(float(value))
 
     def min(self, a, b):
         return f"np.minimum({a}, {b})"

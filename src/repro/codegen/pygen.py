@@ -36,6 +36,7 @@ def generate_python(
 
 
 def _render(model: LoweredModel, default_h: float) -> str:
+    lang = PyLang()
     output_lines: List[str] = []
     deriv_lines: List[str] = []
     held_inits: List[str] = []
@@ -46,7 +47,7 @@ def _render(model: LoweredModel, default_h: float) -> str:
         block_code = model.code[node.index]
         output_lines.extend(block_code.output_lines)
         for name, value in block_code.held_vars:
-            held_inits.append(f"{name} = {value!r}")
+            held_inits.append(f"{name} = {lang.literal(float(value))}")
             held_names.append(name)
         sync_lines.extend(block_code.sync_lines)
         for expr in block_code.deriv_exprs:
@@ -67,7 +68,8 @@ def _render(model: LoweredModel, default_h: float) -> str:
     w.line("import math")
     w.line("")
     w.line("")
-    w.line(f"INITIAL_STATE = {model.initial_state!r}")
+    initial = ", ".join(lang.literal(float(v)) for v in model.initial_state)
+    w.line(f"INITIAL_STATE = [{initial}]")
     w.line(f"STATE_NAMES = {model.state_names!r}")
     w.line("")
     w.line("")

@@ -4,11 +4,20 @@ Renders a shared-object flavour of the C kernel (exported ``kernel_*``
 functions instead of a ``main``), compiles it with the host toolchain and
 loads it via :mod:`ctypes` (stdlib — no cffi dependency).
 
+Parameters are data: the model is lowered with
+:class:`~repro.codegen.common.CParamLang`, which lifts every block
+parameter into a vector ``P`` that :class:`NativeProgram` owns and
+passes on every call.  Only zero and signed powers of two stay literals,
+because gcc folds those (``1.0 * v``, ``v / 0.5``) and the kernel slows
+down tenfold without them.  The source holds no initial state and no
+model name either, so it depends on the model's structure alone.
+
 Artifacts are content-addressed: ``<key>.so``, where the key hashes what
 gcc actually sees — the rendered source, :data:`CFLAGS` and the compiler
 path (:func:`content_key`).  Two requests that render the same C (one
-plan at O0 and O1, say) therefore share one build, and any change to the
-renderer misses by construction.  A build has two halves.
+plan at O0 and O1, or one model at two setpoints) therefore share one
+build, and any change to the renderer misses by construction.  A build
+has two halves.
 :func:`start_build` writes the ``.c`` and launches gcc in the background
 (:class:`subprocess.Popen`, no Python threads).
 :func:`build_artifact` waits for it, joining a build of the same source
@@ -21,8 +30,9 @@ work.  A build nobody joins is finished by the next build call or
 killed at interpreter exit, leaving no temp file, lock or zombie.
 
 Bitwise parity: every expression is emitted by the same
-:mod:`repro.codegen.common` emitters; ``repr`` float literals round-trip
-exactly through ``strtod``; the solver stages replicate
+:mod:`repro.codegen.common` emitters; a lifted parameter is the very
+double the interpreter uses, and a ``repr`` literal round-trips exactly
+through ``strtod``; the solver stages replicate
 :mod:`repro.solvers.fixed` with the same grouping; and the build uses
 ``-ffp-contract=off`` so the compiler cannot fuse multiply-adds into FMA
 (which would change results in the last ulp).  IEEE-754 double +,-,*,/
@@ -51,7 +61,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro._lockfile import ElectionTimeout, elect, release
-from repro.codegen.common import C_LIBM_DECLARATIONS, CLang
+from repro.codegen.common import C_LIBM_DECLARATIONS, CParamLang
 from repro.core.backend.base import (
     BackendError, BackendProgram, BackendUnavailable, CompileRequest,
     ExecutionBackend, KERNEL_VERSION, ProgramResult, kernel_solver_name,
@@ -205,24 +215,24 @@ def sweep_cache(
 # ----------------------------------------------------------------------
 _C_STAGES: Dict[str, Tuple[str, ...]] = {
     "euler": (
-        "kernel_deriv(t, x, held, k1);",
+        "kernel_deriv(t, x, P, held, k1);",
         "for (i = 0; i < NS; i++) x[i] = x[i] + hh * k1[i];",
     ),
     "heun": (
-        "kernel_deriv(t, x, held, k1);",
+        "kernel_deriv(t, x, P, held, k1);",
         "for (i = 0; i < NS; i++) xs[i] = x[i] + hh * k1[i];",
-        "kernel_deriv(t + hh, xs, held, k2);",
+        "kernel_deriv(t + hh, xs, P, held, k2);",
         "for (i = 0; i < NS; i++)"
         " x[i] = x[i] + (hh / 2.0) * (k1[i] + k2[i]);",
     ),
     "rk4": (
-        "kernel_deriv(t, x, held, k1);",
+        "kernel_deriv(t, x, P, held, k1);",
         "for (i = 0; i < NS; i++) xs[i] = x[i] + (hh / 2.0) * k1[i];",
-        "kernel_deriv(t + hh / 2.0, xs, held, k2);",
+        "kernel_deriv(t + hh / 2.0, xs, P, held, k2);",
         "for (i = 0; i < NS; i++) xs[i] = x[i] + (hh / 2.0) * k2[i];",
-        "kernel_deriv(t + hh / 2.0, xs, held, k3);",
+        "kernel_deriv(t + hh / 2.0, xs, P, held, k3);",
         "for (i = 0; i < NS; i++) xs[i] = x[i] + hh * k3[i];",
-        "kernel_deriv(t + hh, xs, held, k4);",
+        "kernel_deriv(t + hh, xs, P, held, k4);",
         "for (i = 0; i < NS; i++)",
         "    x[i] = x[i] + (hh / 6.0)"
         " * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);",
@@ -238,6 +248,12 @@ def render_c_kernel(model, solver_name: str) -> str:
     valid declaration order because only non-feedthrough consumers sit
     before their producers and those never read the signal in their
     output expression) — no signal array, no textual substitution.
+
+    Every entry point takes the parameter vector ``P``.  The backend
+    lowers ``model`` with :class:`~repro.codegen.common.CParamLang`,
+    which collects that vector, so the source holds structure only (no
+    parameter value, initial state or model name) and models that
+    differ in their values alone share one artifact.
     """
     tables = kernel_tables(model)
     held_names = [name for name, __ in tables["held"]]
@@ -245,7 +261,6 @@ def render_c_kernel(model, solver_name: str) -> str:
     n_rec = len(tables["record_exprs"])
     out: List[str] = [
         "/* Auto-generated by repro.core.backend.native -- do not edit.",
-        f" * Source model: {model.name}",
         f" * Solver: {solver_name}",
         " */",
         *C_LIBM_DECLARATIONS,
@@ -256,16 +271,6 @@ def render_c_kernel(model, solver_name: str) -> str:
         f"#define RECN {max(1, n_rec)}",
         "",
     ]
-    init = ", ".join(repr(float(v)) for v in model.initial_state) or "0.0"
-    out.append(f"static const double X0[NSAFE] = {{{init}}};")
-    held_init = ", ".join(
-        repr(float(v)) for __, v in tables["held"]
-    ) or "0.0"
-    out.append(
-        f"static const double H0[{max(1, len(held_names))}]"
-        f" = {{{held_init}}};"
-    )
-    out.append("")
 
     def emit_signals(mutable_held: bool) -> None:
         qualifier = "double" if mutable_held else "const double"
@@ -276,10 +281,11 @@ def render_c_kernel(model, solver_name: str) -> str:
             out.append(f"    const double {var} = {expr};")
 
     out.append("void kernel_deriv(double t, const double* x,")
+    out.append("                  const double* P,")
     out.append("                  const double* held, double* dx)")
     out.append("{")
     out.append("    int i;")
-    out.append("    (void)t; (void)x; (void)held;")
+    out.append("    (void)t; (void)x; (void)P; (void)held;")
     emit_signals(mutable_held=False)
     out.append("    for (i = 0; i < NS; i++) dx[i] = 0.0;")
     for index, expr in tables["derivs"]:
@@ -288,18 +294,20 @@ def render_c_kernel(model, solver_name: str) -> str:
     out.append("")
 
     out.append("void kernel_outvals(double t, const double* x,")
+    out.append("                    const double* P,")
     out.append("                    const double* held, double* rec)")
     out.append("{")
-    out.append("    (void)t; (void)x; (void)held; (void)rec;")
+    out.append("    (void)t; (void)x; (void)P; (void)held; (void)rec;")
     emit_signals(mutable_held=False)
     for i, expr in enumerate(tables["record_exprs"]):
         out.append(f"    rec[{i}] = {expr};")
     out.append("}")
     out.append("")
 
-    out.append("void kernel_sync(double t, const double* x, double* held)")
+    out.append("void kernel_sync(double t, const double* x,")
+    out.append("                 const double* P, double* held)")
     out.append("{")
-    out.append("    (void)t; (void)x; (void)held;")
+    out.append("    (void)t; (void)x; (void)P; (void)held;")
     if tables["sync_rows"]:
         emit_signals(mutable_held=True)
         for indent, line in tables["sync_rows"]:
@@ -309,8 +317,8 @@ def render_c_kernel(model, solver_name: str) -> str:
     out.append("}")
     out.append("")
 
-    out.append("double kernel_step(double t, double hh,")
-    out.append("                   double* x, double* held)")
+    out.append("double kernel_step(double t, double hh, double* x,")
+    out.append("                   const double* P, double* held)")
     out.append("{")
     out.append("    double k1[NSAFE], k2[NSAFE], k3[NSAFE],")
     out.append("           k4[NSAFE], xs[NSAFE];")
@@ -324,28 +332,28 @@ def render_c_kernel(model, solver_name: str) -> str:
 
     out.append("long kernel_run(double t, double t_end, double h,")
     out.append("                long record_every, long step, int cold,")
-    out.append("                double* x, double* held,")
+    out.append("                double* x, const double* P, double* held,")
     out.append("                double* rec_t, double* rec_vals, long cap,")
     out.append("                double* t_out, long* step_out)")
     out.append("{")
     out.append("    long nrec = 0;")
-    out.append("    if (cold) kernel_sync(t, x, held);")
+    out.append("    if (cold) kernel_sync(t, x, P, held);")
     out.append("    while (t < t_end - 1e-12) {")
     out.append("        double hh = (h < t_end - t) ? h : (t_end - t);")
     out.append("        if (step % record_every == 0) {")
     out.append("            if (nrec >= cap) return -1;")
     out.append("            rec_t[nrec] = t;")
-    out.append("            kernel_outvals(t, x, held,"
+    out.append("            kernel_outvals(t, x, P, held,"
                " rec_vals + nrec * RECN);")
     out.append("            nrec += 1;")
     out.append("        }")
-    out.append("        t = kernel_step(t, hh, x, held);")
+    out.append("        t = kernel_step(t, hh, x, P, held);")
     out.append("        step += 1;")
-    out.append("        kernel_sync(t, x, held);")
+    out.append("        kernel_sync(t, x, P, held);")
     out.append("    }")
     out.append("    if (nrec >= cap) return -1;")
     out.append("    rec_t[nrec] = t;")
-    out.append("    kernel_outvals(t, x, held, rec_vals + nrec * RECN);")
+    out.append("    kernel_outvals(t, x, P, held, rec_vals + nrec * RECN);")
     out.append("    nrec += 1;")
     out.append("    *t_out = t;")
     out.append("    *step_out = step;")
@@ -582,18 +590,20 @@ _DP = ctypes.POINTER(ctypes.c_double)
 
 def _load(so_path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(so_path))
-    lib.kernel_deriv.argtypes = [ctypes.c_double, _DP, _DP, _DP]
+    lib.kernel_deriv.argtypes = [ctypes.c_double, _DP, _DP, _DP, _DP]
     lib.kernel_deriv.restype = None
-    lib.kernel_outvals.argtypes = [ctypes.c_double, _DP, _DP, _DP]
+    lib.kernel_outvals.argtypes = [ctypes.c_double, _DP, _DP, _DP, _DP]
     lib.kernel_outvals.restype = None
-    lib.kernel_sync.argtypes = [ctypes.c_double, _DP, _DP]
+    lib.kernel_sync.argtypes = [ctypes.c_double, _DP, _DP, _DP]
     lib.kernel_sync.restype = None
-    lib.kernel_step.argtypes = [ctypes.c_double, ctypes.c_double, _DP, _DP]
+    lib.kernel_step.argtypes = [
+        ctypes.c_double, ctypes.c_double, _DP, _DP, _DP,
+    ]
     lib.kernel_step.restype = ctypes.c_double
     lib.kernel_run.argtypes = [
         ctypes.c_double, ctypes.c_double, ctypes.c_double,
         ctypes.c_long, ctypes.c_long, ctypes.c_int,
-        _DP, _DP, _DP, _DP, ctypes.c_long,
+        _DP, _DP, _DP, _DP, _DP, ctypes.c_long,
         ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_long),
     ]
     lib.kernel_run.restype = ctypes.c_long
@@ -601,7 +611,11 @@ def _load(so_path: Path) -> ctypes.CDLL:
 
 
 def _ptr(array: np.ndarray):
-    return array.ctypes.data_as(_DP)
+    """A ``double*`` argument into a writable, C-contiguous float64
+    ``array`` of at least one element: ``byref`` of a ``c_double`` over
+    its buffer, a tenth of the cost of ``ndarray.ctypes.data_as``.  It
+    keeps ``array`` alive and may be passed any number of times."""
+    return ctypes.byref(ctypes.c_double.from_buffer(array))
 
 
 class NativeProgram(BackendProgram):
@@ -615,6 +629,7 @@ class NativeProgram(BackendProgram):
         so_path: Path,
         cache_hit: bool,
         source: str,
+        params: List[float],
     ) -> None:
         self._model = model
         self._plan = model.plan
@@ -624,6 +639,10 @@ class NativeProgram(BackendProgram):
         self.cache_hit = cache_hit
         self.source = source
         self._lib = _load(so_path)
+        #: the kernel's ``P``, in the order the lowering lifted them;
+        #: read by every call, never written
+        self._params = np.asarray(params or [0.0], dtype=float)
+        self._p_ptr = _ptr(self._params)
 
         tables = kernel_tables(model)
         self._held_names: List[str] = [n for n, __ in tables["held"]]
@@ -641,10 +660,16 @@ class NativeProgram(BackendProgram):
             list(model.initial_state) or [0.0], dtype=float
         )
         self._t = 0.0
-        self._x = self._x0.copy()
-        self._held = self._held0.copy()
         self._step = 0
         self._cold = True
+        self._bind_cursor(self._x0.copy(), self._held0.copy())
+
+    def _bind_cursor(self, x: np.ndarray, held: np.ndarray) -> None:
+        """Install fresh state and held buffers and their pointers."""
+        self._x = x
+        self._held = held
+        self._x_ptr = _ptr(x)
+        self._held_ptr = _ptr(held)
 
     # ------------------------------------------------------------------
     @property
@@ -663,8 +688,10 @@ class NativeProgram(BackendProgram):
         return [label for label, __ in self._model.records]
 
     def fingerprint(self) -> str:
-        """The snapshot identity: opt-aware plan fingerprint plus
-        everything else baked into the rendered source."""
+        """The snapshot identity: the opt-aware plan fingerprint, which
+        covers the parameter values, plus solver, records and initial
+        state.  Programs that share one artifact but not their values
+        therefore refuse each other's snapshots."""
         return self._plan.fingerprint(extra={
             "backend": "native-c",
             "solver": self._solver_name,
@@ -676,21 +703,21 @@ class NativeProgram(BackendProgram):
     # ------------------------------------------------------------------
     def reset(self) -> None:
         self._t = 0.0
-        self._x = self._x0.copy()
-        self._held = self._held0.copy()
         self._step = 0
         self._cold = True
+        self._bind_cursor(self._x0.copy(), self._held0.copy())
 
     def step(self, h: Optional[float] = None) -> float:
         hh = self.h if h is None else float(h)
+        lib = self._lib
         if self._cold:
-            self._lib.kernel_sync(self._t, _ptr(self._x), _ptr(self._held))
+            lib.kernel_sync(self._t, self._x_ptr, self._p_ptr, self._held_ptr)
             self._cold = False
-        self._t = self._lib.kernel_step(
-            self._t, hh, _ptr(self._x), _ptr(self._held)
+        self._t = lib.kernel_step(
+            self._t, hh, self._x_ptr, self._p_ptr, self._held_ptr
         )
         self._step += 1
-        self._lib.kernel_sync(self._t, _ptr(self._x), _ptr(self._held))
+        lib.kernel_sync(self._t, self._x_ptr, self._p_ptr, self._held_ptr)
         return self._t
 
     def run(
@@ -710,7 +737,7 @@ class NativeProgram(BackendProgram):
         nrec = self._lib.kernel_run(
             self._t, float(t_end), hh,
             int(record_every), self._step, int(self._cold),
-            _ptr(self._x), _ptr(self._held),
+            self._x_ptr, self._p_ptr, self._held_ptr,
             _ptr(rec_t), _ptr(rec_vals), cap,
             ctypes.byref(t_out), ctypes.byref(step_out),
         )
@@ -746,12 +773,14 @@ class NativeProgram(BackendProgram):
             buf = np.zeros(1)
         dx = np.zeros(max(1, self._n_states), dtype=float)
         self._lib.kernel_deriv(
-            float(t), _ptr(buf), _ptr(self._held), _ptr(dx)
+            float(t), _ptr(buf), self._p_ptr, self._held_ptr, _ptr(dx)
         )
         return dx[: self._n_states]
 
     def sync_now(self, t: float) -> None:
-        self._lib.kernel_sync(float(t), _ptr(self._x), _ptr(self._held))
+        self._lib.kernel_sync(
+            float(t), self._x_ptr, self._p_ptr, self._held_ptr
+        )
 
     def refresh_held_from_blocks(self) -> None:
         held = self._held
@@ -776,39 +805,47 @@ class NativeProgram(BackendProgram):
         self._step = int(state["step"])
         self._cold = bool(state.get("cold", False))
         x = np.asarray(state["x"], dtype=float)
-        self._x = x.copy() if x.size else np.zeros(1)
         held = state.get("held", {})
-        self._held = np.asarray(
-            [
-                float(held.get(name, self._held0[i]))
-                for i, name in enumerate(self._held_names)
-            ] or [0.0],
-            dtype=float,
+        self._bind_cursor(
+            x.copy() if x.size else np.zeros(1),
+            np.asarray(
+                [
+                    float(held.get(name, self._held0[i]))
+                    for i, name in enumerate(self._held_names)
+                ] or [0.0],
+                dtype=float,
+            ),
         )
 
 
 class NativeBackend(ExecutionBackend):
     name = "native-c"
 
-    def _render(self, request: CompileRequest) -> Tuple[Any, str, str]:
+    def _render(
+        self, request: CompileRequest
+    ) -> Tuple[Any, str, str, List[float]]:
+        """``(model, solver, source, params)``: the lowered model, its
+        kernel source and the parameter vector the source reads."""
         solver_name = kernel_solver_name(request)
         if not has_c_compiler():
             raise BackendUnavailable(NO_COMPILER)
-        model = lower_request(request, CLang())
-        return model, solver_name, render_c_kernel(model, solver_name)
+        lang = CParamLang()
+        model = lower_request(request, lang)
+        source = render_c_kernel(model, solver_name)
+        return model, solver_name, source, lang.params
 
     def compile(self, request: CompileRequest) -> NativeProgram:
-        model, solver_name, source = self._render(request)
+        model, solver_name, source, params = self._render(request)
         so_path, cache_hit = build_artifact(
             source, request_cache_dir(request),
         )
         return NativeProgram(
-            model, solver_name, request.h, so_path, cache_hit, source
+            model, solver_name, request.h, so_path, cache_hit, source,
+            params,
         )
 
     def prefetch(self, request: CompileRequest) -> None:
-        __, __, source = self._render(request)
-        start_build(source, request_cache_dir(request))
+        start_build(self._render(request)[2], request_cache_dir(request))
 
 
 register_backend(NativeBackend())

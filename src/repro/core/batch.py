@@ -205,8 +205,11 @@ def _render_program(model: Any) -> str:
         "",
         "def _build(n, P):",
     ]
+    from repro.codegen.common import NumpyLang
+
+    lang = NumpyLang()
     for name, value in held_inits:
-        lines.append(f"    {name} = np.full(n, {value!r})")
+        lines.append(f"    {name} = np.full(n, {lang.literal(value)})")
     lines.append("")
     lines.append("    def outputs(t, x):")
     for line in output_lines:

@@ -189,11 +189,12 @@ class HybridScheduler:
         """Why this model cannot run a compiled derivative kernel, or
         ``None`` when every gate passes.
 
-        The kernel bakes block parameters in as literals, replaces only
-        the derivative evaluation (``plan.rhs``) and reads sample/hold
-        registers back from the live blocks before every call — so it is
-        sound exactly when nothing outside the gated surface can change
-        the maths mid-slice.
+        The kernel reads block parameters once per bind (the native
+        kernel's parameter vector, the Python kernel's literals),
+        replaces only the derivative evaluation (``plan.rhs``) and reads
+        sample/hold registers back from the live blocks before every
+        call — so it is sound exactly when nothing outside the gated
+        surface can change the maths mid-slice.
         """
         if self.plan is None or not self.plan.nodes:
             return "model has no continuous plan nodes"
@@ -211,7 +212,7 @@ class HybridScheduler:
         if self.model.rts.capsule_count():
             return (
                 "capsules may reconfigure streamer parameters mid-run; "
-                "kernels bake parameters in as literals"
+                "kernels read their parameters once per bind"
             )
         return None
 
@@ -288,8 +289,11 @@ class HybridScheduler:
 
         Parameters enter the plan fingerprint, so any mutation between
         ``run`` calls (a caller re-tuning a gain, a t=0 configuration
-        hook) is caught here and triggers a fresh compile; mutating
-        parameters *mid-run* is excluded by the eligibility gates.
+        hook) is caught here and binds a kernel with the new values.
+        The native kernel takes them as data, so a re-tune that keeps
+        the structure reuses its compiled artifact instead of running
+        the compiler; mutating parameters *mid-run* is excluded by the
+        eligibility gates.
         """
         if self._backend_program is None:
             return

@@ -8,9 +8,14 @@ level), which is itself bitwise identical to the O0 plan at O1 (the
 optimizer's exact-replay guarantee, asserted separately below).
 """
 
+import math
+import subprocess
+
 import numpy as np
 import pytest
 
+from repro.codegen import generate_c, generate_python
+from repro.codegen.common import CLang, NumpyLang, PyLang
 from repro.core.backend import (
     FALLBACKS,
     BackendError,
@@ -21,6 +26,7 @@ from repro.core.backend import (
     get_backend,
     has_c_compiler,
 )
+from repro.core.backend.native import find_c_compiler
 from repro.scenarios.synth import synth_dag
 from repro.dataflow import (
     PID,
@@ -38,6 +44,7 @@ from repro.dataflow import (
     Step,
     Sum,
     TransferFunction,
+    UnitDelay,
     ZeroOrderHold,
 )
 from repro.dataflow.diagram import Diagram
@@ -170,6 +177,128 @@ class TestBatchSingleInstance:
                 ref.series[label], got.series[label][:, 0],
             ), label
         assert np.array_equal(ref.final_state, got.final_state[0])
+
+
+INF = float("inf")
+UNBOUNDED_RECORDS = ["sat.out", "lag.out", "integ.out"]
+
+
+def unbounded_diagram():
+    """Open-ended limits spelled ``±inf``: a saturation with no upper
+    bound feeding a lag, and an integrator limited on neither side."""
+    d = Diagram("unbounded")
+    d.add(Sine("src", amplitude=2.0, freq=1.5))
+    d.add(Saturation("sat", lower=-0.5, upper=INF))
+    d.add(FirstOrderLag("lag", tau=0.3))
+    d.add(Integrator("integ", lower=-INF, upper=INF))
+    d.connect("src.out", "sat.in")
+    d.connect("sat.out", "lag.in")
+    d.connect("lag.out", "integ.in")
+    return d
+
+
+class TestNonFiniteParameters:
+    """``repr(inf)`` is no literal in Python or C: every dialect spells
+    ±inf and NaN validly, and every backend runs ±inf bounds bitwise
+    with the interpreter."""
+
+    @staticmethod
+    def run(backend, cache_dir=None):
+        program = compile_program(CompileRequest(
+            diagram=unbounded_diagram(), records=UNBOUNDED_RECORDS, h=H,
+            cache_dir=cache_dir,
+        ), backend)
+        assert program.backend == backend
+        return program.run(T_END)
+
+    @pytest.mark.parametrize("backend", [
+        "compiled-python",
+        "batch",
+        pytest.param("native-c", marks=needs_cc),
+        pytest.param("native-batch", marks=needs_cc),
+    ])
+    def test_bitwise_vs_interpreter(self, backend, native_cache):
+        ref = self.run("interpreter")
+        assert ref.series["sat.out"].min() == -0.5  # the finite side binds
+        got = self.run(backend, native_cache)
+        assert np.array_equal(ref.t, got.t)
+        for label in UNBOUNDED_RECORDS:
+            series = got.series[label]
+            if series.ndim == 2:  # a batch backend's single instance
+                series = series[:, 0]
+            assert np.array_equal(ref.series[label], series), label
+        assert np.array_equal(ref.final_state, np.ravel(got.final_state))
+
+    def test_every_dialect_spells_them(self):
+        for lang in (PyLang(), NumpyLang()):
+            assert eval(lang.num(INF)) == INF
+            assert eval(lang.num(-INF)) == -INF
+            assert math.isnan(eval(lang.num(math.nan)))
+        assert CLang().num(INF) == "(1.0 / 0.0)"
+        assert CLang().num(-INF) == "(-1.0 / 0.0)"
+        assert CLang().num(math.nan) == "(0.0 / 0.0)"
+
+    def test_generated_python_runs(self):
+        source = generate_python(
+            unbounded_diagram(), records=UNBOUNDED_RECORDS, default_h=H,
+        )
+        namespace = {}
+        exec(compile(source, "<generated>", "exec"), namespace)
+        out = namespace["simulate"](T_END)
+        ref = self.run("interpreter")
+        for label in UNBOUNDED_RECORDS:
+            assert np.allclose(out[label], ref.series[label]), label
+
+    def test_non_finite_initial_values(self):
+        """Initial states and held registers are literals of the
+        generated programs too."""
+        def diagram(with_state):
+            d = Diagram("start")
+            d.add(Sine("src", amplitude=2.0, freq=1.5))
+            d.add(UnitDelay("delay", ts=0.125, y0=INF))
+            d.connect("src.out", "delay.in")
+            if with_state:  # the solvers refuse a non-finite state
+                d.add(Integrator("integ", y0=-INF))
+                d.connect("src.out", "integ.in")
+            return d
+
+        records = ["delay.out", "integ.out"]
+        source = generate_python(diagram(True), records=records)
+        namespace = {}
+        exec(compile(source, "<generated>", "exec"), namespace)
+        out = namespace["simulate"](T_END)
+        assert (out["delay.out"][0], out["integ.out"][0]) == (INF, -INF)
+        c_source = generate_c(diagram(True), records=records)
+        assert "initial_state[] = {(-1.0 / 0.0)};" in c_source
+        assert "h_delay_store = (1.0 / 0.0);" in c_source
+        batch = compile_program(CompileRequest(
+            diagram=diagram(False), records=records[:1], h=H,
+        ), "batch").run(T_END)
+        assert batch.series["delay.out"][0, 0] == INF
+
+    @needs_cc
+    def test_generated_c_runs(self, tmp_path):
+        c_file = tmp_path / "unbounded.c"
+        c_file.write_text(generate_c(
+            unbounded_diagram(), records=UNBOUNDED_RECORDS, default_h=H,
+            t_end=T_END,
+        ))
+        binary = tmp_path / "unbounded"
+        subprocess.run(
+            [find_c_compiler(), "-O2", "-o", str(binary), str(c_file),
+             "-lm"],
+            check=True, capture_output=True,
+        )
+        rows = subprocess.run(
+            [str(binary)], check=True, capture_output=True, text=True,
+        ).stdout.split()
+        last = [float(v) for v in rows[-1].split(",")]
+        ref = self.run("interpreter")
+        # the program prints each row before its step: the last row is
+        # the interpreter's second-to-last record, at 9 digits
+        assert last[0] == ref.t[-2]
+        for value, label in zip(last[1:], UNBOUNDED_RECORDS):
+            assert value == pytest.approx(ref.series[label][-2], rel=1e-8)
 
 
 @pytest.mark.parametrize("name", sorted(DIAGRAMS))
