@@ -32,6 +32,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core import loop
 from repro.core.network import FlatNetwork
 from repro.dataflow.diagram import Diagram
 from repro.solvers.history import Trajectory
@@ -119,7 +120,7 @@ class BichlerModel:
         # the periodic timer accumulates float error (k additions of h);
         # a tiny forward tolerance keeps the k-th tick inside step k
         eps = 1e-9 * self.h
-        while t < until - 1e-12:
+        while t < until - loop.EPS:
             t = min(t + self.h, until)
             self.rts.advance_to(t + eps)
             steps += 1

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import loop
 from repro.core.network import FlatNetwork
 from repro.core.streamer import Streamer
 from repro.dataflow.diagram import Diagram
@@ -220,7 +221,7 @@ class KuhlTranslation:
         t = 0.0
         # tolerance: the periodic tick timer accumulates float error
         eps = 1e-9 * self.h
-        while t < until - 1e-12:
+        while t < until - loop.EPS:
             t = min(t + self.h, until)
             self.rts.advance_to(t + eps)
             if self._probe_block is not None:

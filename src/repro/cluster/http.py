@@ -29,8 +29,9 @@ GET       ``/models``                 registered model names
 GET       ``/healthz``                liveness probe
 ========  ==========================  =====================================
 
-Blocking pool calls (``handle.result``, channel pops) are pushed onto
-the default executor so the event loop keeps serving while jobs run.
+A result long-poll awaits the job's done-callback on the event loop;
+channel pops, the one blocking pool call left, run on the default
+executor, so the loop keeps serving while jobs run.
 :class:`ClusterHTTPServer` also hosts itself on a daemon thread
 (``start()``/``stop()``) so synchronous callers — the CLI, tests, the
 S11 benchmark — get a serving endpoint without touching asyncio.
@@ -351,13 +352,30 @@ class ClusterHTTPServer:
             timeout = float(query.get("timeout", 60.0))
         except ValueError:
             raise _HTTPError(400, "bad timeout")
+        # awaited on the event loop, not in an executor thread: a long
+        # poll must not hold one of the few threads every other
+        # request's blocking work queues for
         loop = asyncio.get_running_loop()
-        done = await loop.run_in_executor(None, handle.wait, timeout)
-        if not done:
+        finished = loop.create_future()
+
+        def settle() -> None:
+            if not finished.done():
+                finished.set_result(None)
+
+        def on_done(__) -> None:
+            try:
+                loop.call_soon_threadsafe(settle)
+            except RuntimeError:
+                pass  # the server stopped; nobody is waiting
+
+        handle.add_done_callback(on_done)
+        try:
+            await asyncio.wait_for(finished, max(0.0, timeout))
+        except asyncio.TimeoutError:
             raise _HTTPError(
                 408, f"job {handle.id} still {handle.state.value} "
                 f"after {timeout:g}s",
-            )
+            ) from None
         status = handle.status()
         if handle.state.value == "done":
             status["result"] = summarise_result(handle.result_value)

@@ -46,7 +46,7 @@ import time
 from multiprocessing import connection as mp_connection
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.cluster.requests import ClusterError, ClusterJobRequest, ClusterRejected
 from repro.cluster.store import ArtifactStore
@@ -120,6 +120,8 @@ class ClusterJobHandle:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self._done = threading.Event()
+        self._callbacks: List[Callable[["ClusterJobHandle"], None]] = []
+        self._callbacks_lock = threading.Lock()
 
     def _finish(
         self, state: JobState, result: Any = None, error: Optional[str] = None
@@ -129,10 +131,26 @@ class ClusterJobHandle:
         self.error = error
         self.finished_at = time.monotonic()
         self.channel.close()
-        self._done.set()
+        with self._callbacks_lock:
+            self._done.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self._done.wait(timeout)
+
+    def add_done_callback(
+        self, callback: Callable[["ClusterJobHandle"], None]
+    ) -> None:
+        """Call ``callback(handle)`` once the job finishes (at once when
+        it has).  It may run on a pool thread holding the pool's lock,
+        so it must not block."""
+        with self._callbacks_lock:
+            if not self._done.is_set():
+                self._callbacks.append(callback)
+                return
+        callback(self)
 
     def result(self, timeout: Optional[float] = None) -> Any:
         """The job's result; raises the matching error otherwise."""

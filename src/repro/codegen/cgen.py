@@ -5,14 +5,18 @@
 * ``static void outputs(double t, const double *x, double *sig)``
 * ``static void rhs(double t, const double *x, double *dx)``
 * ``static void sync_step(double t, const double *x)`` (sampled blocks)
-* ``int main(void)`` — RK4 loop printing recorded columns as CSV.
+* ``int main(void)`` — an RK4 run printing the recorded columns as CSV
+  (``%.9g``), one row before every step and a final row at ``t_end``.
 
-The offline CI has no C compiler, so tests validate structure (balanced
-braces, every state/signal declared, all emitted expressions present) and
-the Python backend carries the numeric round-trip proof (bench S3); the C
-and Python backends share every expression through
-:mod:`repro.codegen.common`, so structural validation plus the Python
-round-trip covers the generator logic.
+The module also renders the shared-object kernels of the native
+backends: :func:`kernel_functions` (one instance's deriv, outvals, sync
+and step over its state, parameter and held rows, shared by the scalar
+``native-c`` kernel and the N-instance batch kernel) and
+:func:`render_batch_kernel`.  Every C loop here and in
+:mod:`repro.core.backend.native` is rendered by
+:meth:`~repro.codegen.common.CLang.fixed_step_loop`, the fixed-step loop
+contract of :mod:`repro.core.loop`.  The C and Python backends share
+every expression through :mod:`repro.codegen.common`.
 """
 
 from __future__ import annotations
@@ -67,31 +71,31 @@ def generate_c(
 
 
 # ----------------------------------------------------------------------
-# N-instance batch kernel (the native-batch backend's translation unit)
+# the shared-object kernels (the native-c and native-batch backends)
 # ----------------------------------------------------------------------
-#: per-instance solver stages; arithmetic (order + grouping) replicates
-#: :mod:`repro.solvers.fixed` exactly, same as the scalar native kernel,
-#: so batched trajectories stay bitwise vs N sequential runs
-_BATCH_STAGES: Dict[str, Tuple[str, ...]] = {
+#: solver stages of one kernel step over the state row ``x``; the
+#: arithmetic (order + grouping) replicates :mod:`repro.solvers.fixed`
+#: exactly, so kernel trajectories stay bitwise against the interpreter
+_STAGES: Dict[str, Tuple[str, ...]] = {
     "euler": (
-        "inst_deriv(t, x, P, held, k1);",
+        "{deriv}(t, x, P, held, k1);",
         "for (i = 0; i < NX; i++) x[i] = x[i] + hh * k1[i];",
     ),
     "heun": (
-        "inst_deriv(t, x, P, held, k1);",
+        "{deriv}(t, x, P, held, k1);",
         "for (i = 0; i < NX; i++) xs[i] = x[i] + hh * k1[i];",
-        "inst_deriv(t + hh, xs, P, held, k2);",
+        "{deriv}(t + hh, xs, P, held, k2);",
         "for (i = 0; i < NX; i++)"
         " x[i] = x[i] + (hh / 2.0) * (k1[i] + k2[i]);",
     ),
     "rk4": (
-        "inst_deriv(t, x, P, held, k1);",
+        "{deriv}(t, x, P, held, k1);",
         "for (i = 0; i < NX; i++) xs[i] = x[i] + (hh / 2.0) * k1[i];",
-        "inst_deriv(t + hh / 2.0, xs, P, held, k2);",
+        "{deriv}(t + hh / 2.0, xs, P, held, k2);",
         "for (i = 0; i < NX; i++) xs[i] = x[i] + (hh / 2.0) * k2[i];",
-        "inst_deriv(t + hh / 2.0, xs, P, held, k3);",
+        "{deriv}(t + hh / 2.0, xs, P, held, k3);",
         "for (i = 0; i < NX; i++) xs[i] = x[i] + hh * k3[i];",
-        "inst_deriv(t + hh, xs, P, held, k4);",
+        "{deriv}(t + hh, xs, P, held, k4);",
         "for (i = 0; i < NX; i++)",
         "    x[i] = x[i] + (hh / 6.0)"
         " * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);",
@@ -99,53 +103,33 @@ _BATCH_STAGES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def render_batch_kernel(
-    model: LoweredModel, solver_name: str, n_params: int
-) -> str:
-    """A shared-object C translation unit integrating N instances.
+def kernel_functions(
+    tables, solver_name: str, prefix: str, static: bool,
+) -> List[str]:
+    """One instance's C functions over its state row ``x``, parameter
+    row ``P`` and held row ``held``: ``<prefix>deriv``, ``outvals``,
+    ``sync`` and ``step`` (which returns ``t + hh``), plus the ``NX``,
+    ``NXS``, ``NREC`` and ``RECN`` sizes they use.
 
-    The data layout is one contiguous row per instance (``X[n][NXS]``,
-    ``P[n][NPS]``, ``H[n][NHS]``) so a shard is a pointer offset, not a
-    copy; the instance loop is the *inner* loop of every batch driver,
-    which is the auto-vectorizable shape.  Inside the per-instance
-    helpers the row pointers are named exactly ``x`` / ``P`` / ``held``,
-    so the emitted expressions (``x[i]``, ``P[j]``, held locals) are
-    valid verbatim — no textual rewriting.
-
-    ``model`` must be lowered with
-    :class:`~repro.codegen.common.CBatchLang`: swept parameters stay
-    ``P[j]`` symbols and sampled blocks carry the statement-level sync
-    replicas, so one instance's arithmetic is exactly the scalar native
-    kernel's — bitwise vs ``simulate_sequential``.
-
-    The batch-size ``n`` is a *runtime* argument of every exported
-    function; nothing per-N is baked into the source, so one artifact
-    serves any instance count.
+    ``tables`` are :func:`~repro.core.backend.pykernel.kernel_tables`.
+    Signals are plain ``const double`` locals, declared in plan order
+    (a valid declaration order: only non-feedthrough consumers sit
+    before their producers, and those never read the signal in their
+    output expression).  ``static`` keeps the functions out of the
+    shared object's exports.
     """
-    if solver_name not in _BATCH_STAGES:
+    if solver_name not in _STAGES:
         raise ValueError(
-            f"no batch solver stages for {solver_name!r} "
-            f"(have {sorted(_BATCH_STAGES)})"
+            f"no kernel solver stages for {solver_name!r} "
+            f"(have {sorted(_STAGES)})"
         )
-    from repro.core.backend.pykernel import kernel_tables
-
-    tables = kernel_tables(model)
     held_names = [name for name, __ in tables["held"]]
     n_states = tables["n_states"]
     n_rec = len(tables["record_exprs"])
+    decl = "static " if static else ""
     out: List[str] = [
-        "/* Auto-generated by repro.codegen.cgen (batch) -- do not edit.",
-        f" * Source model: {model.name}",
-        f" * Solver: {solver_name}",
-        " */",
-        *C_LIBM_DECLARATIONS,
-        "",
         f"#define NX {n_states}",
         f"#define NXS {max(1, n_states)}",
-        f"#define NP {n_params}",
-        f"#define NPS {max(1, n_params)}",
-        f"#define NH {len(held_names)}",
-        f"#define NHS {max(1, len(held_names))}",
         f"#define NREC {n_rec}",
         f"#define RECN {max(1, n_rec)}",
         "",
@@ -153,15 +137,14 @@ def render_batch_kernel(
 
     def emit_signals(mutable_held: bool) -> None:
         qualifier = "double" if mutable_held else "const double"
-        for i, name in enumerate(held_names):
-            out.append(f"    {qualifier} {name} = held[{i}];")
+        for i, held in enumerate(held_names):
+            out.append(f"    {qualifier} {held} = held[{i}];")
         for line in tables["output_lines"]:
             var, __, expr = line.partition(" = ")
             out.append(f"    const double {var} = {expr};")
 
-    out.append("static void inst_deriv(double t, const double* x,")
-    out.append("                       const double* P,")
-    out.append("                       const double* held, double* dx)")
+    out.append(f"{decl}void {prefix}deriv(double t, const double* x,")
+    out.append("    const double* P, const double* held, double* dx)")
     out.append("{")
     out.append("    int i;")
     out.append("    (void)t; (void)x; (void)P; (void)held;")
@@ -172,9 +155,8 @@ def render_batch_kernel(
     out.append("}")
     out.append("")
 
-    out.append("static void inst_outvals(double t, const double* x,")
-    out.append("                         const double* P,")
-    out.append("                         const double* held, double* rec)")
+    out.append(f"{decl}void {prefix}outvals(double t, const double* x,")
+    out.append("    const double* P, const double* held, double* rec)")
     out.append("{")
     out.append("    (void)t; (void)x; (void)P; (void)held; (void)rec;")
     emit_signals(mutable_held=False)
@@ -183,65 +165,83 @@ def render_batch_kernel(
     out.append("}")
     out.append("")
 
-    out.append("static void inst_sync(double t, const double* x,")
-    out.append("                      const double* P, double* held)")
+    out.append(f"{decl}void {prefix}sync(double t, const double* x,")
+    out.append("    const double* P, double* held)")
     out.append("{")
     out.append("    (void)t; (void)x; (void)P; (void)held;")
     if tables["sync_rows"]:
         emit_signals(mutable_held=True)
         for indent, line in tables["sync_rows"]:
             out.append(f"    {'    ' * indent}{line}")
-        for i, name in enumerate(held_names):
-            out.append(f"    held[{i}] = {name};")
+        for i, held in enumerate(held_names):
+            out.append(f"    held[{i}] = {held};")
     out.append("}")
     out.append("")
 
-    out.append("static void inst_step(double t, double hh, double* x,")
-    out.append("                      const double* P, double* held)")
+    out.append(f"{decl}double {prefix}step(double t, double hh, double* x,")
+    out.append("    const double* P, double* held)")
     out.append("{")
     out.append("    double k1[NXS], k2[NXS], k3[NXS], k4[NXS], xs[NXS];")
     out.append("    int i;")
     out.append("    (void)k2; (void)k3; (void)k4; (void)xs; (void)held;")
-    for line in _BATCH_STAGES[solver_name]:
-        out.append(f"    {line}")
+    for line in _STAGES[solver_name]:
+        out.append(f"    {line.format(deriv=prefix + 'deriv')}")
+    out.append("    return t + hh;")
     out.append("}")
     out.append("")
+    return out
 
-    out.append("void batch_sync(double t, long n, double* XB,")
-    out.append("                const double* PB, double* HB)")
-    out.append("{")
-    out.append("    long r;")
-    out.append("    for (r = 0; r < n; r++)")
-    out.append("        inst_sync(t, XB + r * NXS, PB + r * NPS,")
-    out.append("                  HB + r * NHS);")
-    out.append("}")
-    out.append("")
 
-    out.append("void batch_step(double t, double hh, long n, double* XB,")
-    out.append("                const double* PB, double* HB)")
-    out.append("{")
-    out.append("    long r;")
-    out.append("    for (r = 0; r < n; r++)")
-    out.append("        inst_step(t, hh, XB + r * NXS, PB + r * NPS,")
-    out.append("                  HB + r * NHS);")
-    out.append("}")
-    out.append("")
+def render_batch_kernel(
+    model: LoweredModel, solver_name: str, n_params: int
+) -> str:
+    """A shared-object C translation unit integrating N instances.
 
-    out.append("void batch_outvals(double t, long n, const double* XB,")
-    out.append("                   const double* PB, const double* HB,")
-    out.append("                   double* rec)")
-    out.append("{")
-    out.append("    long r;")
-    out.append("    for (r = 0; r < n; r++)")
-    out.append("        inst_outvals(t, XB + r * NXS, PB + r * NPS,")
-    out.append("                     HB + r * NHS, rec + r * RECN);")
-    out.append("}")
-    out.append("")
+    The data layout is one contiguous row per instance (``X[n][NXS]``,
+    ``P[n][NPS]``, ``H[n][NHS]``) so a shard is a pointer offset, not a
+    copy; the instance loop is the *inner* loop of every batch driver,
+    which is the auto-vectorizable shape.  The per-instance functions
+    (:func:`kernel_functions`) take the row pointers named exactly
+    ``x`` / ``P`` / ``held``, so the emitted expressions (``x[i]``,
+    ``P[j]``, held locals) are valid verbatim — no textual rewriting.
 
-    # the whole-run driver: replicates BatchSimulator.run_chunked's
-    # record-before-step / step / sync loop and its chunk-boundary cut
-    # (max_steps > 0 caps minor steps per call), so Python-side chunking
-    # and checkpoint/resume semantics carry over bitwise
+    ``model`` must be lowered with
+    :class:`~repro.codegen.common.CBatchLang`: swept parameters stay
+    ``P[j]`` symbols and sampled blocks carry the statement-level sync
+    replicas, so one instance's arithmetic is exactly the scalar native
+    kernel's — bitwise vs ``simulate_sequential``.
+
+    The batch-size ``n`` is a *runtime* argument of ``batch_run``;
+    nothing per-N is baked into the source, so one artifact serves any
+    instance count.
+    """
+    from repro.core.backend.pykernel import kernel_tables
+
+    tables = kernel_tables(model)
+    n_held = len(tables["held"])
+    out: List[str] = [
+        "/* Auto-generated by repro.codegen.cgen (batch) -- do not edit.",
+        f" * Source model: {model.name}",
+        f" * Solver: {solver_name}",
+        " */",
+        *C_LIBM_DECLARATIONS,
+        "",
+        f"#define NP {n_params}",
+        f"#define NPS {max(1, n_params)}",
+        f"#define NH {n_held}",
+        f"#define NHS {max(1, n_held)}",
+        *kernel_functions(tables, solver_name, "inst_", static=True),
+    ]
+
+    # the whole-run driver and the one export: the loop contract with a
+    # chunk cut (max_steps > 0 caps minor steps per call), so Python-side
+    # chunking and checkpoint/resume carry over bitwise; every hook runs
+    # its per-instance helper over the n rows
+    row = "XB + r * NXS, PB + r * NPS, HB + r * NHS"
+
+    def each_row(call: str) -> List[str]:
+        return ["for (r = 0; r < n; r++)", f"    {call};"]
+
     out.append("long batch_run(double t, double t_end, double h,")
     out.append("               long record_every, long step,")
     out.append("               long max_steps, int cold, long n,")
@@ -252,46 +252,24 @@ def render_batch_kernel(
     out.append("               int* done_out)")
     out.append("{")
     out.append("    long nrec = 0, taken = 0, r;")
-    out.append("    if (cold)")
-    out.append("        for (r = 0; r < n; r++)")
-    out.append("            inst_sync(t, XB + r * NXS, PB + r * NPS,")
-    out.append("                      HB + r * NHS);")
-    out.append("    while (t < t_end - 1e-12) {")
-    out.append("        double hh = (h < t_end - t) ? h : (t_end - t);")
-    out.append("        if (step % record_every == 0) {")
-    out.append("            if (nrec >= cap) return -1;")
-    out.append("            if (write_t) rec_t[nrec] = t;")
-    out.append("            for (r = 0; r < n; r++)")
-    out.append("                inst_outvals(t, XB + r * NXS,")
-    out.append("                             PB + r * NPS, HB + r * NHS,")
-    out.append("                             rec + nrec * rec_stride"
-               " + r * RECN);")
-    out.append("            nrec += 1;")
-    out.append("        }")
-    out.append("        for (r = 0; r < n; r++)")
-    out.append("            inst_step(t, hh, XB + r * NXS, PB + r * NPS,")
-    out.append("                      HB + r * NHS);")
-    out.append("        t = t + hh;")
-    out.append("        step += 1;")
-    out.append("        taken += 1;")
-    out.append("        for (r = 0; r < n; r++)")
-    out.append("            inst_sync(t, XB + r * NXS, PB + r * NPS,")
-    out.append("                      HB + r * NHS);")
-    out.append("        if (max_steps > 0 && taken >= max_steps")
-    out.append("                && t < t_end - 1e-12) {")
-    out.append("            *t_out = t;")
-    out.append("            *step_out = step;")
-    out.append("            *done_out = 0;")
-    out.append("            return nrec;")
-    out.append("        }")
-    out.append("    }")
-    out.append("    if (nrec >= cap) return -1;")
-    out.append("    if (write_t) rec_t[nrec] = t;")
-    out.append("    for (r = 0; r < n; r++)")
-    out.append("        inst_outvals(t, XB + r * NXS, PB + r * NPS,")
-    out.append("                     HB + r * NHS,")
-    out.append("                     rec + nrec * rec_stride + r * RECN);")
-    out.append("    nrec += 1;")
+    out.extend(CLang().fixed_step_loop(
+        sync=each_row(f"inst_sync(t, {row})"),
+        advance=[*each_row(f"inst_step(t, hh, {row})"), "t = t + hh;"],
+        record=[
+            "if (nrec >= cap) return -1;",
+            "if (write_t) rec_t[nrec] = t;",
+            *each_row(
+                f"inst_outvals(t, {row}, rec + nrec * rec_stride + r * RECN)"
+            ),
+            "nrec += 1;",
+        ],
+        cut=[
+            "*t_out = t;",
+            "*step_out = step;",
+            "*done_out = 0;",
+            "return nrec;",
+        ],
+    ))
     out.append("    *t_out = t;")
     out.append("    *step_out = step;")
     out.append("    *done_out = 1;")
@@ -386,34 +364,34 @@ def _render(model: LoweredModel, default_h: float, t_end: float) -> str:
     out.append("    for (i = 0; i < N_STATES; i++) x[i] = initial_state[i];")
     out.append(f"    double t = 0.0, h = {default_h!r};")
     out.append(f"    const double t_end = {t_end!r};")
+    out.append("    const long record_every = 1;")
+    out.append("    long step = 0;")
     header = ",".join(["t"] + [label for label, __ in model.records])
     out.append(f'    printf("%s\\n", "{header}");')
-    out.append("    sync_step(t, x);")
-    out.append("    while (t < t_end - 1e-12) {")
-    out.append("        double hh = (h < t_end - t) ? h : (t_end - t);")
-    out.append("        outputs(t, x, sig);")
     fmt = ",".join(["%.9g"] * (1 + len(model.records)))
     args = ", ".join(
         ["t"] + [f"sig[{signal_index[signal]}]"
                  for __, signal in model.records]
     )
-    out.append(f'        printf("{fmt}\\n", {args});')
-    out.append("        rhs(t, x, k1);")
-    out.append("        for (i = 0; i < N_STATES; i++)"
-               " xt[i] = x[i] + hh / 2.0 * k1[i];")
-    out.append("        rhs(t + hh / 2.0, xt, k2);")
-    out.append("        for (i = 0; i < N_STATES; i++)"
-               " xt[i] = x[i] + hh / 2.0 * k2[i];")
-    out.append("        rhs(t + hh / 2.0, xt, k3);")
-    out.append("        for (i = 0; i < N_STATES; i++)"
-               " xt[i] = x[i] + hh * k3[i];")
-    out.append("        rhs(t + hh, xt, k4);")
-    out.append("        for (i = 0; i < N_STATES; i++)")
-    out.append("            x[i] += hh / 6.0 * "
-               "(k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);")
-    out.append("        t += hh;")
-    out.append("        sync_step(t, x);")
-    out.append("    }")
+    each = "for (i = 0; i < N_STATES; i++)"
+    out.extend(lang.fixed_step_loop(
+        sync=["sync_step(t, x);"],
+        advance=[
+            "rhs(t, x, k1);",
+            f"{each} xt[i] = x[i] + hh / 2.0 * k1[i];",
+            "rhs(t + hh / 2.0, xt, k2);",
+            f"{each} xt[i] = x[i] + hh / 2.0 * k2[i];",
+            "rhs(t + hh / 2.0, xt, k3);",
+            f"{each} xt[i] = x[i] + hh * k3[i];",
+            "rhs(t + hh, xt, k4);",
+            each,
+            "    x[i] += hh / 6.0 * "
+            "(k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);",
+            "t += hh;",
+        ],
+        record=["outputs(t, x, sig);", f'printf("{fmt}\\n", {args});'],
+        cold=None,
+    ))
     out.append("    return 0;")
     out.append("}")
     return "\n".join(out) + "\n"

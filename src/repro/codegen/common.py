@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core import loop
 from repro.core.network import FlatNetwork
 from repro.core.plan import ExecutionPlan
 from repro.core.streamer import Streamer
@@ -156,6 +157,53 @@ class CLang(Lang):
 
     def if_expr(self, cond, then, otherwise):
         return f"(({cond}) ? ({then}) : ({otherwise}))"
+
+    def fixed_step_loop(
+        self,
+        sync: Sequence[str],
+        advance: Sequence[str],
+        record: Sequence[str],
+        cold: Optional[str] = "cold",
+        cut: Sequence[str] = (),
+    ) -> List[str]:
+        """:func:`repro.core.loop.run` as C statements of a function
+        body.
+
+        The function declares ``t``, ``t_end``, ``h``, ``step`` and
+        ``record_every``, plus ``taken`` (zeroed) and ``max_steps`` when
+        there is a ``cut``.  Each hook is a list of C statements:
+        ``sync`` at ``t``; ``advance`` moves ``x`` and ``t`` by ``hh``;
+        ``record`` stores the row at ``t``, before a due step and once
+        more at ``t_end``; ``cut`` ends the call after ``max_steps``
+        steps short of ``t_end`` (it must return).  ``cold`` guards the
+        cold sync (None: always sync).
+        """
+        def block(lines: Sequence[str], depth: int) -> List[str]:
+            return ["    " * depth + line for line in lines]
+
+        running = f"t < t_end - {self.literal(loop.EPS)}"
+        out = block(sync, 1) if cold is None else [
+            f"    if ({cold}) {{", *block(sync, 2), "    }",
+        ]
+        out += [
+            f"    while ({running}) {{",
+            "        const double hh = (h < t_end - t) ? h : (t_end - t);",
+            "        if (step % record_every == 0) {",
+            *block(record, 3),
+            "        }",
+            *block(advance, 2),
+            "        step += 1;",
+            *block(sync, 2),
+        ]
+        if cut:
+            out += [
+                "        taken += 1;",
+                f"        if (taken == max_steps && {running}) {{",
+                *block(cut, 3),
+                "        }",
+            ]
+        out += ["    }", *block(record, 1)]
+        return out
 
 
 class CBatchLang(CLang):

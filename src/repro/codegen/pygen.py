@@ -9,7 +9,10 @@
 The generated integrator is classic RK4 over the flattened network, with
 sampled-block held variables updated once per step — mirroring the
 library's streamer-thread semantics closely enough that bench S3's
-round-trip comparison passes at RK4 accuracy.
+round-trip comparison passes at RK4 accuracy.  Because the module must
+not import :mod:`repro`, its loop is the one self-contained copy of the
+fixed-step loop contract (:mod:`repro.core.loop`), rendered with the
+contract's epsilon.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.codegen.common import LoweredModel, PyLang, lower
+from repro.core import loop
 from repro.dataflow.diagram import Diagram
 
 
@@ -115,7 +119,7 @@ def _render(model: LoweredModel, default_h: float) -> str:
         w.line("")
         w.line("step = 0")
         w.line("sync(t, x)")
-        w.line("while t < t_end - 1e-12:")
+        w.line(f"while t < t_end - {loop.EPS!r}:")
         with w.indent():
             w.line("hh = min(h, t_end - t)")
             w.line("sig = outputs(t, x)")

@@ -57,6 +57,8 @@ from typing import (
 
 import numpy as np
 
+from repro.core import loop
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.network import FlatNetwork
     from repro.core.plan import ExecutionPlan
@@ -160,6 +162,11 @@ class BackendProgram:
     continue the same trajectory and :meth:`snapshot_state` /
     :meth:`restore_state` give the resilience layer a backend-agnostic
     checkpoint payload (plain data only).
+
+    The scalar programs keep that cursor in ``_t``, ``_x``, ``_step``
+    and ``_cold`` and define the loop bodies ``_sync(t, x)``,
+    ``_advance(t, x, h)`` and ``_outvals(t, x)``; :meth:`step` and
+    :meth:`_run_loop` run those through :mod:`repro.core.loop`.
     """
 
     #: registry name of the producing backend
@@ -178,7 +185,13 @@ class BackendProgram:
 
     def step(self, h: Optional[float] = None) -> float:
         """One minor step + sync; returns the new time."""
-        raise NotImplementedError
+        hh = self.h if h is None else float(h)
+        self._t, self._x = loop.step(
+            self._t, self._x, self._cold, hh, self._sync, self._advance,
+        )
+        self._step += 1
+        self._cold = False
+        return self._t
 
     def run(
         self,
@@ -188,6 +201,23 @@ class BackendProgram:
     ) -> ProgramResult:
         """Advance to ``t_end`` recording every ``record_every`` steps."""
         raise NotImplementedError
+
+    def _run_loop(
+        self, t_end: float, h: Optional[float], record_every: int,
+    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """Advance the cursor to ``t_end`` through
+        :func:`repro.core.loop.run`; returns the record times and each
+        record label's series."""
+        t, x, step, __, times, rows = loop.run(
+            self._t, self._x, self._step, self._cold, float(t_end),
+            self.h if h is None else float(h), int(record_every),
+            self._sync, self._advance, self._outvals,
+        )
+        self._t, self._x, self._step, self._cold = t, x, step, False
+        return np.asarray(times, dtype=float), {
+            label: np.asarray([row[i] for row in rows], dtype=float)
+            for i, label in enumerate(self.record_labels())
+        }
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         """The derivative kernel at ``(t, x)`` under current held state."""

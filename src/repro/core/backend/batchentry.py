@@ -108,13 +108,15 @@ class BatchProgramAdapter(BackendProgram):
 
     def step(self, h: Optional[float] = None) -> float:
         hh = self.h if h is None else float(h)
-        for chunk in self._sim.run_chunked(
-            self._t + hh, h=hh, resume=self._resume_arg()
-        ):
-            final = chunk
-        self._t = float(final.t_now)
-        self._x = np.asarray(final.final_states, dtype=float).copy()
-        self._step = int(final.steps)
+        # a run two steps long, cut after its first: that step is ``hh``
+        # unclamped, as :func:`repro.core.loop.step` takes it
+        cut = next(self._sim.run_chunked(
+            self._t + 2.0 * hh, h=hh, chunk_steps=1,
+            resume=self._resume_arg(),
+        )).resume
+        self._t = float(cut["t"])
+        self._x = cut["x"]
+        self._step = int(cut["step"])
         self._cold = False
         return self._t
 

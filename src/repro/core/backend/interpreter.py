@@ -131,29 +131,23 @@ class InterpreterProgram(BackendProgram):
                     fresh.append(t_sample, row)
             node.leaf.trajectory = fresh
 
-    def _sync(self, t: float) -> None:
+    def _sync(self, t: float, x: np.ndarray) -> None:
         # pads first (each on_sync reads its *pre-sync* input value, the
         # same snapshot the kernels' sync replicas read), then the hooks
         # in plan-node order
-        self._plan.evaluate(t, self._x)
+        self._plan.evaluate(t, x)
         for node in self._plan.nodes:
             node.leaf.on_sync(t)
 
-    def _read_row(self, t: float) -> Tuple[float, ...]:
-        self._plan.evaluate(t, self._x)
-        return tuple(port.read_scalar() for __, port in self._records)
+    def _advance(
+        self, t: float, x: np.ndarray, h: float,
+    ) -> Tuple[float, np.ndarray]:
+        result = self._binding.step(self._plan.rhs, t, x, h)
+        return result.t, result.y
 
-    def step(self, h: Optional[float] = None) -> float:
-        hh = self.h if h is None else float(h)
-        if self._cold:
-            self._sync(self._t)
-            self._cold = False
-        result = self._binding.step(self._plan.rhs, self._t, self._x, hh)
-        self._x = result.y
-        self._t = result.t
-        self._step += 1
-        self._sync(self._t)
-        return self._t
+    def _outvals(self, t: float, x: np.ndarray) -> Tuple[float, ...]:
+        self._plan.evaluate(t, x)
+        return tuple(port.read_scalar() for __, port in self._records)
 
     def run(
         self,
@@ -161,41 +155,15 @@ class InterpreterProgram(BackendProgram):
         h: Optional[float] = None,
         record_every: int = 1,
     ) -> ProgramResult:
-        hh = self.h if h is None else float(h)
-        plan = self._plan
-        binding = self._binding
-        if self._cold:
-            self._sync(self._t)
-            self._cold = False
-        rec_t: List[float] = []
-        rows: List[Tuple[float, ...]] = []
-        t = self._t
-        x = self._x
-        step = self._step
-        while t < t_end - 1e-12:
-            h_step = hh if hh < t_end - t else t_end - t
-            if step % record_every == 0:
-                rec_t.append(t)
-                rows.append(self._read_row(t))
-            result = binding.step(plan.rhs, t, x, h_step)
-            x = result.y
-            t = result.t
-            step += 1
-            self._t, self._x, self._step = t, x, step
-            self._sync(t)
-        rec_t.append(t)
-        rows.append(self._read_row(t))
+        times, series = self._run_loop(t_end, h, record_every)
         return ProgramResult(
-            t=np.asarray(rec_t, dtype=float),
-            series={
-                label: np.asarray([row[i] for row in rows], dtype=float)
-                for i, (label, __) in enumerate(self._records)
-            },
-            final_state=x.copy(),
+            t=times,
+            series=series,
+            final_state=self._x.copy(),
             stats={
                 "backend": self.backend,
-                "steps": step,
-                "evaluations": plan.counters.evaluations,
+                "steps": self._step,
+                "evaluations": self._plan.counters.evaluations,
             },
         )
 

@@ -38,9 +38,11 @@ through ``strtod``; the solver stages replicate
 (which would change results in the last ulp).  IEEE-754 double +,-,*,/
 are exactly rounded, so C and Python agree bit for bit.
 
-No compiler, or a failed build, raises :class:`BackendUnavailable` — the
-resolver then demotes to ``compiled-python`` (metric + telemetry event),
-never failing the run.
+No compiler, a failed build or a fresh artifact that will not load
+raises :class:`BackendUnavailable` — the resolver then demotes to
+``compiled-python`` (metric + telemetry event), never failing the run.
+A cached artifact that will not load is rebuilt once
+(:func:`load_artifact`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from __future__ import annotations
 import atexit
 import ctypes
 import hashlib
-import math
 import os
 import shutil
 import signal
@@ -56,12 +57,14 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro._lockfile import ElectionTimeout, elect, release
-from repro.codegen.common import C_LIBM_DECLARATIONS, CParamLang
+from repro.codegen.cgen import kernel_functions
+from repro.codegen.common import C_LIBM_DECLARATIONS, CLang, CParamLang
+from repro.core import loop
 from repro.core.backend.base import (
     BackendError, BackendProgram, BackendUnavailable, CompileRequest,
     ExecutionBackend, KERNEL_VERSION, ProgramResult, kernel_solver_name,
@@ -213,41 +216,12 @@ def sweep_cache(
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------
-_C_STAGES: Dict[str, Tuple[str, ...]] = {
-    "euler": (
-        "kernel_deriv(t, x, P, held, k1);",
-        "for (i = 0; i < NS; i++) x[i] = x[i] + hh * k1[i];",
-    ),
-    "heun": (
-        "kernel_deriv(t, x, P, held, k1);",
-        "for (i = 0; i < NS; i++) xs[i] = x[i] + hh * k1[i];",
-        "kernel_deriv(t + hh, xs, P, held, k2);",
-        "for (i = 0; i < NS; i++)"
-        " x[i] = x[i] + (hh / 2.0) * (k1[i] + k2[i]);",
-    ),
-    "rk4": (
-        "kernel_deriv(t, x, P, held, k1);",
-        "for (i = 0; i < NS; i++) xs[i] = x[i] + (hh / 2.0) * k1[i];",
-        "kernel_deriv(t + hh / 2.0, xs, P, held, k2);",
-        "for (i = 0; i < NS; i++) xs[i] = x[i] + (hh / 2.0) * k2[i];",
-        "kernel_deriv(t + hh / 2.0, xs, P, held, k3);",
-        "for (i = 0; i < NS; i++) xs[i] = x[i] + hh * k3[i];",
-        "kernel_deriv(t + hh, xs, P, held, k4);",
-        "for (i = 0; i < NS; i++)",
-        "    x[i] = x[i] + (hh / 6.0)"
-        " * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);",
-    ),
-}
-
-
 def render_c_kernel(model, solver_name: str) -> str:
-    """A shared-object C translation unit for ``model``.
-
-    Unlike :mod:`repro.codegen.cgen`'s standalone program, signals are
-    plain ``const double`` locals (declared in plan order, which is a
-    valid declaration order because only non-feedthrough consumers sit
-    before their producers and those never read the signal in their
-    output expression) — no signal array, no textual substitution.
+    """A shared-object C translation unit for ``model``: the exported
+    per-instance functions (``kernel_deriv``, ``kernel_outvals``,
+    ``kernel_sync``, ``kernel_step``; see
+    :func:`~repro.codegen.cgen.kernel_functions`) and ``kernel_run``,
+    the whole fixed-step loop.
 
     Every entry point takes the parameter vector ``P``.  The backend
     lowers ``model`` with :class:`~repro.codegen.common.CParamLang`,
@@ -255,81 +229,16 @@ def render_c_kernel(model, solver_name: str) -> str:
     parameter value, initial state or model name) and models that
     differ in their values alone share one artifact.
     """
-    tables = kernel_tables(model)
-    held_names = [name for name, __ in tables["held"]]
-    n_states = tables["n_states"]
-    n_rec = len(tables["record_exprs"])
     out: List[str] = [
         "/* Auto-generated by repro.core.backend.native -- do not edit.",
         f" * Solver: {solver_name}",
         " */",
         *C_LIBM_DECLARATIONS,
         "",
-        f"#define NS {n_states}",
-        f"#define NSAFE {max(1, n_states)}",
-        f"#define NREC {n_rec}",
-        f"#define RECN {max(1, n_rec)}",
-        "",
+        *kernel_functions(
+            kernel_tables(model), solver_name, "kernel_", static=False,
+        ),
     ]
-
-    def emit_signals(mutable_held: bool) -> None:
-        qualifier = "double" if mutable_held else "const double"
-        for i, name in enumerate(held_names):
-            out.append(f"    {qualifier} {name} = held[{i}];")
-        for line in tables["output_lines"]:
-            var, __, expr = line.partition(" = ")
-            out.append(f"    const double {var} = {expr};")
-
-    out.append("void kernel_deriv(double t, const double* x,")
-    out.append("                  const double* P,")
-    out.append("                  const double* held, double* dx)")
-    out.append("{")
-    out.append("    int i;")
-    out.append("    (void)t; (void)x; (void)P; (void)held;")
-    emit_signals(mutable_held=False)
-    out.append("    for (i = 0; i < NS; i++) dx[i] = 0.0;")
-    for index, expr in tables["derivs"]:
-        out.append(f"    dx[{index}] = {expr};")
-    out.append("}")
-    out.append("")
-
-    out.append("void kernel_outvals(double t, const double* x,")
-    out.append("                    const double* P,")
-    out.append("                    const double* held, double* rec)")
-    out.append("{")
-    out.append("    (void)t; (void)x; (void)P; (void)held; (void)rec;")
-    emit_signals(mutable_held=False)
-    for i, expr in enumerate(tables["record_exprs"]):
-        out.append(f"    rec[{i}] = {expr};")
-    out.append("}")
-    out.append("")
-
-    out.append("void kernel_sync(double t, const double* x,")
-    out.append("                 const double* P, double* held)")
-    out.append("{")
-    out.append("    (void)t; (void)x; (void)P; (void)held;")
-    if tables["sync_rows"]:
-        emit_signals(mutable_held=True)
-        for indent, line in tables["sync_rows"]:
-            out.append(f"    {'    ' * indent}{line}")
-        for i, name in enumerate(held_names):
-            out.append(f"    held[{i}] = {name};")
-    out.append("}")
-    out.append("")
-
-    out.append("double kernel_step(double t, double hh, double* x,")
-    out.append("                   const double* P, double* held)")
-    out.append("{")
-    out.append("    double k1[NSAFE], k2[NSAFE], k3[NSAFE],")
-    out.append("           k4[NSAFE], xs[NSAFE];")
-    out.append("    int i;")
-    out.append("    (void)k2; (void)k3; (void)k4; (void)xs; (void)held;")
-    for line in _C_STAGES[solver_name]:
-        out.append(f"    {line}")
-    out.append("    return t + hh;")
-    out.append("}")
-    out.append("")
-
     out.append("long kernel_run(double t, double t_end, double h,")
     out.append("                long record_every, long step, int cold,")
     out.append("                double* x, const double* P, double* held,")
@@ -337,24 +246,16 @@ def render_c_kernel(model, solver_name: str) -> str:
     out.append("                double* t_out, long* step_out)")
     out.append("{")
     out.append("    long nrec = 0;")
-    out.append("    if (cold) kernel_sync(t, x, P, held);")
-    out.append("    while (t < t_end - 1e-12) {")
-    out.append("        double hh = (h < t_end - t) ? h : (t_end - t);")
-    out.append("        if (step % record_every == 0) {")
-    out.append("            if (nrec >= cap) return -1;")
-    out.append("            rec_t[nrec] = t;")
-    out.append("            kernel_outvals(t, x, P, held,"
-               " rec_vals + nrec * RECN);")
-    out.append("            nrec += 1;")
-    out.append("        }")
-    out.append("        t = kernel_step(t, hh, x, P, held);")
-    out.append("        step += 1;")
-    out.append("        kernel_sync(t, x, P, held);")
-    out.append("    }")
-    out.append("    if (nrec >= cap) return -1;")
-    out.append("    rec_t[nrec] = t;")
-    out.append("    kernel_outvals(t, x, P, held, rec_vals + nrec * RECN);")
-    out.append("    nrec += 1;")
+    out.extend(CLang().fixed_step_loop(
+        sync=["kernel_sync(t, x, P, held);"],
+        advance=["t = kernel_step(t, hh, x, P, held);"],
+        record=[
+            "if (nrec >= cap) return -1;",
+            "rec_t[nrec] = t;",
+            "kernel_outvals(t, x, P, held, rec_vals + nrec * RECN);",
+            "nrec += 1;",
+        ],
+    ))
     out.append("    *t_out = t;")
     out.append("    *step_out = step;")
     out.append("    return nrec;")
@@ -585,6 +486,41 @@ def build_artifact(source: str, cache_dir: Path) -> Tuple[Path, bool]:
                 del _IN_FLIGHT[so_path]
 
 
+def load_artifact(
+    source: str, cache_dir: Path, load: Callable[[Path], Any],
+) -> Tuple[Any, Path, bool]:
+    """Build or find ``source``'s artifact and ``load`` it; returns
+    ``(lib, so_path, cache_hit)``.
+
+    A cached artifact that fails to load (a crash or a disk fault left
+    it torn) is a miss: it is renamed aside, never rewritten in place (a
+    process that has it mapped would take SIGBUS), and rebuilt once
+    under the build lock.  An artifact that fails to load after its
+    build raises :class:`BackendUnavailable`, so both native backends
+    demote the same way.
+    """
+    so_path, cache_hit = build_artifact(source, cache_dir)
+    if cache_hit:
+        try:
+            return load(so_path), so_path, True
+        except (OSError, AttributeError):
+            aside = so_path.with_suffix(
+                f".{os.getpid()}.{threading.get_ident()}.bad"
+            )
+            try:
+                os.replace(so_path, aside)
+                aside.unlink()
+            except OSError:
+                pass  # another process moved it aside first
+        so_path, cache_hit = build_artifact(source, cache_dir)
+    try:
+        return load(so_path), so_path, cache_hit
+    except (OSError, AttributeError) as exc:
+        raise BackendUnavailable(
+            f"could not load native artifact {so_path}: {exc}"
+        ) from exc
+
+
 _DP = ctypes.POINTER(ctypes.c_double)
 
 
@@ -626,6 +562,7 @@ class NativeProgram(BackendProgram):
         model,
         solver_name: str,
         h: float,
+        lib: ctypes.CDLL,
         so_path: Path,
         cache_hit: bool,
         source: str,
@@ -638,7 +575,7 @@ class NativeProgram(BackendProgram):
         self.so_path = so_path
         self.cache_hit = cache_hit
         self.source = source
-        self._lib = _load(so_path)
+        self._lib = lib
         #: the kernel's ``P``, in the order the lowering lifted them;
         #: read by every call, never written
         self._params = np.asarray(params or [0.0], dtype=float)
@@ -707,18 +644,14 @@ class NativeProgram(BackendProgram):
         self._cold = True
         self._bind_cursor(self._x0.copy(), self._held0.copy())
 
-    def step(self, h: Optional[float] = None) -> float:
-        hh = self.h if h is None else float(h)
-        lib = self._lib
-        if self._cold:
-            lib.kernel_sync(self._t, self._x_ptr, self._p_ptr, self._held_ptr)
-            self._cold = False
-        self._t = lib.kernel_step(
-            self._t, hh, self._x_ptr, self._p_ptr, self._held_ptr
-        )
-        self._step += 1
-        lib.kernel_sync(self._t, self._x_ptr, self._p_ptr, self._held_ptr)
-        return self._t
+    # the state lives in the kernel's buffers: the loop's x is unused
+    def _sync(self, t: float, x: Any) -> None:
+        self._lib.kernel_sync(t, self._x_ptr, self._p_ptr, self._held_ptr)
+
+    def _advance(self, t: float, x: Any, h: float) -> Tuple[float, Any]:
+        return self._lib.kernel_step(
+            t, h, self._x_ptr, self._p_ptr, self._held_ptr,
+        ), x
 
     def run(
         self,
@@ -727,9 +660,7 @@ class NativeProgram(BackendProgram):
         record_every: int = 1,
     ) -> ProgramResult:
         hh = self.h if h is None else float(h)
-        remaining = max(0.0, float(t_end) - self._t)
-        iters = int(math.floor(remaining / hh)) + 2 if hh > 0 else 2
-        cap = iters // max(1, int(record_every)) + 3
+        cap = loop.record_capacity(self._t, float(t_end), hh, record_every)
         rec_t = np.empty(cap, dtype=float)
         rec_vals = np.empty((cap, max(1, self._n_rec)), dtype=float)
         t_out = ctypes.c_double()
@@ -836,11 +767,11 @@ class NativeBackend(ExecutionBackend):
 
     def compile(self, request: CompileRequest) -> NativeProgram:
         model, solver_name, source, params = self._render(request)
-        so_path, cache_hit = build_artifact(
-            source, request_cache_dir(request),
+        lib, so_path, cache_hit = load_artifact(
+            source, request_cache_dir(request), _load,
         )
         return NativeProgram(
-            model, solver_name, request.h, so_path, cache_hit, source,
+            model, solver_name, request.h, lib, so_path, cache_hit, source,
             params,
         )
 

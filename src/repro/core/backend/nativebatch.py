@@ -4,11 +4,15 @@ Takes the same optimized ExecutionPlan the scalar ``native-c`` path
 lowers, but rendered by :func:`repro.codegen.cgen.render_batch_kernel`
 into an N-instance translation unit: one contiguous row per instance
 (``X[n][nx]``, ``P[n][np]``, ``H[n][nh]``), the instance loop inside the
-compiled step/sync/record drivers, batch size a runtime argument.  One
-artifact therefore serves any N: artifacts are named by a hash of the
-rendered source, flags and compiler (the ``native-c`` build path,
-:func:`repro.core.backend.native.build_artifact`), and neither the
+compiled ``batch_run`` (the fixed-step loop contract of
+:mod:`repro.core.loop` with a chunk cut), batch size a runtime argument.
+One artifact therefore serves any N: artifacts are named by a hash of
+the rendered source, flags and compiler (the ``native-c`` build path,
+:func:`repro.core.backend.native.load_artifact`), and neither the
 instance count nor the initial state is baked into the source.
+:meth:`NativeBatchKernel.run_segment` takes the arguments and gives the
+returns of the NumPy program's segment, so ``BatchSimulator.
+run_chunked`` cuts, packages and resumes chunks the same way on both.
 :meth:`NativeBatchBackend.prefetch` renders the kernel and starts its
 gcc run in the background; the simulator's build later joins it.
 
@@ -34,20 +38,20 @@ NumPy ``batch`` program (metric + telemetry), never failing the run.
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.core import loop
 from repro.core.backend.base import (
     BackendError, BackendUnavailable, CompileRequest, ExecutionBackend,
     kernel_solver_name, register_backend,
 )
 from repro.core.backend.batchentry import BatchProgramAdapter
 from repro.core.backend.native import (
-    NO_COMPILER, build_artifact, default_cache_dir, has_c_compiler,
+    NO_COMPILER, default_cache_dir, has_c_compiler, load_artifact,
     request_cache_dir, start_build,
 )
 
@@ -115,18 +119,6 @@ def batch_kernel_source(program, solver_name: str) -> str:
 
 def _load_batch(so_path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(so_path))
-    lib.batch_sync.argtypes = [
-        ctypes.c_double, ctypes.c_long, _DP, _DP, _DP,
-    ]
-    lib.batch_sync.restype = None
-    lib.batch_step.argtypes = [
-        ctypes.c_double, ctypes.c_double, ctypes.c_long, _DP, _DP, _DP,
-    ]
-    lib.batch_step.restype = None
-    lib.batch_outvals.argtypes = [
-        ctypes.c_double, ctypes.c_long, _DP, _DP, _DP, _DP,
-    ]
-    lib.batch_outvals.restype = None
     lib.batch_run.argtypes = [
         ctypes.c_double, ctypes.c_double, ctypes.c_double,
         ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_int,
@@ -172,15 +164,10 @@ class NativeBatchKernel:
 
         n_params = len(program.sweep_paths)
         tables = kernel_tables(program.native_model)
-        so_path, cache_hit = build_artifact(
+        self._lib, so_path, cache_hit = load_artifact(
             source, Path(cache_dir) if cache_dir else default_cache_dir(),
+            _load_batch,
         )
-        try:
-            self._lib = _load_batch(so_path)
-        except OSError as exc:
-            raise BackendUnavailable(
-                f"could not load batch artifact {so_path}: {exc}"
-            ) from exc
 
         self.solver_name = solver_name
         self.source = source
@@ -189,8 +176,8 @@ class NativeBatchKernel:
         self.n = int(n)
         self.n_states = tables["n_states"]
         self.nxs = max(1, self.n_states)
-        self.n_rec = len(tables["record_exprs"])
-        self.recn = max(1, self.n_rec)
+        self.labels = [label for label, __ in program.model.records]
+        self.recn = max(1, len(self.labels))
         self.held_names: List[str] = [name for name, __ in tables["held"]]
         self.nhs = max(1, len(self.held_names))
         nps = max(1, n_params)
@@ -253,23 +240,16 @@ class NativeBatchKernel:
         max_steps: int,
         cold: bool,
         x: np.ndarray,
-    ) -> Tuple[float, int, bool, np.ndarray, np.ndarray, int]:
+    ) -> Tuple[float, np.ndarray, int, bool, np.ndarray, Dict[str, Any]]:
         """Advance every instance until ``t_end`` or ``max_steps`` minor
         steps (0: unlimited), mutating ``x``/``H`` in place.
 
-        Returns ``(t, step, done, rec_t, rec_vals, taken)`` with
-        ``rec_t`` shape ``(nrec,)`` and ``rec_vals`` shape
-        ``(nrec, n, RECN)``.
+        Returns ``(t, x, step, done, rec_t, series)``: the cursor
+        reached, whether it is at ``t_end``, the record times ``(nrec,)``
+        and each recorded label's ``(nrec, n)`` rows.
         """
         xb = self._state_buffer(x)
-        if max_steps > 0:
-            cap = max_steps // max(1, record_every) + 2
-        else:
-            iters = (
-                int(math.floor(max(0.0, t_end - t) / h)) + 2
-                if h > 0 else 2
-            )
-            cap = iters // max(1, record_every) + 3
+        cap = loop.record_capacity(t, t_end, h, record_every, max_steps)
         rec_t = np.empty(cap, dtype=float)
         rec = np.empty((cap, self.n, self.recn), dtype=float)
         rec_stride = self.n * self.recn
@@ -318,10 +298,10 @@ class NativeBatchKernel:
             raise BackendError(
                 f"native batch record buffer overflow (cap={cap})"
             )
-        return (
-            t_new, step_new, bool(done),
-            rec_t[:nrec], rec[:nrec], step_new - int(step),
-        )
+        return t_new, x, step_new, bool(done), rec_t[:nrec].copy(), {
+            label: np.ascontiguousarray(rec[:nrec, :, i])
+            for i, label in enumerate(self.labels)
+        }
 
 
 class NativeBatchAdapter(BatchProgramAdapter):

@@ -2,9 +2,10 @@
 
 Renders one flat Python module from the lowered plan — signal locals,
 derivative vector, statement-level sync replicas and a solver-specialised
-fixed-step loop — and ``exec``s it, so a step is one code object instead
-of a per-block interpreter dispatch.  Works on any host (no toolchain)
-and is bitwise identical to the ``interpreter`` backend:
+step — and ``exec``s it, so a step is one code object instead of a
+per-block interpreter dispatch; :func:`repro.core.loop.run` drives those
+bodies through the fixed-step loop contract.  Works on any host (no
+toolchain) and is bitwise identical to the ``interpreter`` backend:
 
 * signal/derivative expressions come from the same emitters, applying
   the same IEEE-754 double operations the blocks apply;
@@ -97,7 +98,10 @@ def kernel_tables(model) -> Dict[str, Any]:
 
 
 def render_python_kernel(model, solver_name: str) -> str:
-    """The kernel module source for ``model``."""
+    """The kernel module source for ``model``: a ``_build(held)``
+    factory whose ``outvals``, ``sync`` and ``one_step`` close over the
+    held-register list and have the signatures
+    :func:`repro.core.loop.run` calls."""
     tables = kernel_tables(model)
     held_names = [name for name, __ in tables["held"]]
     w: List[str] = [
@@ -106,7 +110,7 @@ def render_python_kernel(model, solver_name: str) -> str:
         "import math",
         "",
         "",
-        "def _build():",
+        "def _build(held):",
     ]
 
     def emit_signals(indent: str) -> None:
@@ -123,13 +127,13 @@ def render_python_kernel(model, solver_name: str) -> str:
     w.append("        return d")
     w.append("")
 
-    w.append("    def outvals(t, x, held):")
+    w.append("    def outvals(t, x):")
     emit_signals("        ")
     row = ", ".join(tables["record_exprs"])
     w.append(f"        return ({row}{',' if row else ''})")
     w.append("")
 
-    w.append("    def sync(t, x, held):")
+    w.append("    def sync(t, x):")
     if tables["sync_rows"]:
         emit_signals("        ")
         for indent, line in tables["sync_rows"]:
@@ -140,30 +144,12 @@ def render_python_kernel(model, solver_name: str) -> str:
         w.append("        pass")
     w.append("")
 
-    w.append("    def one_step(t, x, held, hh):")
+    w.append("    def one_step(t, x, hh):")
     for line in _STAGES[solver_name]:
         w.append(f"        {line}")
     w.append("        return t + hh, x")
     w.append("")
-
-    w.append("    def run(t, x, held, t_end, h, record_every, step, cold):")
-    w.append("        rec_t = []")
-    w.append("        rows = []")
-    w.append("        if cold:")
-    w.append("            sync(t, x, held)")
-    w.append("        while t < t_end - 1e-12:")
-    w.append("            hh = h if h < t_end - t else t_end - t")
-    w.append("            if step % record_every == 0:")
-    w.append("                rec_t.append(t)")
-    w.append("                rows.append(outvals(t, x, held))")
-    w.append("            t, x = one_step(t, x, held, hh)")
-    w.append("            step += 1")
-    w.append("            sync(t, x, held)")
-    w.append("        rec_t.append(t)")
-    w.append("        rows.append(outvals(t, x, held))")
-    w.append("        return t, x, step, rec_t, rows")
-    w.append("")
-    w.append("    return deriv, outvals, sync, one_step, run")
+    w.append("    return deriv, outvals, sync, one_step")
     return "\n".join(w) + "\n"
 
 
@@ -176,16 +162,17 @@ class PyKernelProgram(BackendProgram):
         self._solver_name = solver_name
         self.h = float(h)
         self.source = render_python_kernel(model, solver_name)
-        namespace: Dict[str, Any] = {"math": math}
-        exec(compile(self.source, "<pykernel>", "exec"), namespace)
-        (
-            self._deriv, self._outvals, self._sync,
-            self._one_step, self._run,
-        ) = namespace["_build"]()
-
         tables = kernel_tables(model)
         self._held_names: List[str] = [n for n, __ in tables["held"]]
         self._held0: List[float] = [v for __, v in tables["held"]]
+        #: the kernel's held registers, bound into its closures, so
+        #: every cursor change rewrites this one list in place
+        self._held: List[float] = list(self._held0)
+        namespace: Dict[str, Any] = {"math": math}
+        exec(compile(self.source, "<pykernel>", "exec"), namespace)
+        (
+            self._deriv, self._outvals, self._sync, self._advance,
+        ) = namespace["_build"](self._held)
         index_of = {name: i for i, name in enumerate(self._held_names)}
         #: ``(held slot, live leaf, attribute)`` rows for the hybrid
         #: scheduler's rhs bridge
@@ -196,7 +183,6 @@ class PyKernelProgram(BackendProgram):
         self._x0: List[float] = [float(v) for v in model.initial_state]
         self._t = 0.0
         self._x: List[float] = list(self._x0)
-        self._held: List[float] = list(self._held0)
         self._step = 0
         self._cold = True
 
@@ -228,19 +214,9 @@ class PyKernelProgram(BackendProgram):
     def reset(self) -> None:
         self._t = 0.0
         self._x = list(self._x0)
-        self._held = list(self._held0)
+        self._held[:] = self._held0
         self._step = 0
         self._cold = True
-
-    def step(self, h: Optional[float] = None) -> float:
-        hh = self.h if h is None else float(h)
-        if self._cold:
-            self._sync(self._t, self._x, self._held)
-            self._cold = False
-        self._t, self._x = self._one_step(self._t, self._x, self._held, hh)
-        self._step += 1
-        self._sync(self._t, self._x, self._held)
-        return self._t
 
     def run(
         self,
@@ -248,23 +224,14 @@ class PyKernelProgram(BackendProgram):
         h: Optional[float] = None,
         record_every: int = 1,
     ) -> ProgramResult:
-        hh = self.h if h is None else float(h)
-        t, x, step, rec_t, rows = self._run(
-            self._t, self._x, self._held, float(t_end), hh,
-            int(record_every), self._step, self._cold,
-        )
-        self._t, self._x, self._step, self._cold = t, x, step, False
-        labels = self.record_labels()
+        times, series = self._run_loop(t_end, h, record_every)
         return ProgramResult(
-            t=np.asarray(rec_t, dtype=float),
-            series={
-                label: np.asarray([row[i] for row in rows], dtype=float)
-                for i, label in enumerate(labels)
-            },
-            final_state=np.asarray(x, dtype=float),
+            t=times,
+            series=series,
+            final_state=np.asarray(self._x, dtype=float),
             stats={
                 "backend": self.backend,
-                "steps": step,
+                "steps": self._step,
                 "solver": self._solver_name,
             },
         )
@@ -276,7 +243,7 @@ class PyKernelProgram(BackendProgram):
 
     def sync_now(self, t: float) -> None:
         """Run the sync replicas at ``t`` on the current held state."""
-        self._sync(float(t), self._x, self._held)
+        self._sync(float(t), self._x)
 
     # ------------------------------------------------------------------
     # held-register bridge (hybrid scheduler)
@@ -308,7 +275,7 @@ class PyKernelProgram(BackendProgram):
         self._cold = bool(state.get("cold", False))
         self._x = [float(v) for v in state["x"]]
         held = state.get("held", {})
-        self._held = [
+        self._held[:] = [
             float(held.get(name, self._held0[i]))
             for i, name in enumerate(self._held_names)
         ]

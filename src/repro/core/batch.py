@@ -39,6 +39,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core import loop
 from repro.core.network import FlatNetwork
 from repro.core.solverbinding import SolverBinding
 from repro.core.streamer import Streamer
@@ -745,12 +746,14 @@ class BatchSimulator:
         """Integrate to ``t_end``, yielding a :class:`BatchChunk` every
         ``chunk_steps`` minor steps (one final chunk when omitted).
 
-        The step/record/sync sequence is exactly :meth:`run`'s — chunking
-        only decides when accumulated records are handed out — so the
-        concatenation of the chunks is bitwise identical to an unchunked
-        run.  Between chunks a caller may abort, stream partials, or
-        check deadlines; this is the cooperative cancellation point the
-        service layer's job engine relies on.
+        Each chunk is one segment of the fixed-step loop
+        (:mod:`repro.core.loop`) cut after the steps left to the next
+        multiple of ``chunk_steps``, on the NumPy program or the native
+        kernel alike; chunking only decides when records are handed
+        out, so the concatenation of the chunks is bitwise identical to
+        an unchunked run.  Between chunks a caller may abort, stream
+        partials, or check deadlines; this is the cooperative
+        cancellation point the service layer's job engine relies on.
 
         ``resume`` (from :meth:`resume_point`, captured at a chunk
         boundary) continues a previous run mid-stream: the state matrix,
@@ -764,109 +767,6 @@ class BatchSimulator:
             raise BatchError(f"non-positive step {h}")
         if chunk_steps is not None and chunk_steps < 1:
             raise BatchError(f"chunk_steps must be >= 1: {chunk_steps}")
-        if self._native is not None:
-            yield from self._run_chunked_native(
-                t_end, h, record_every, chunk_steps, resume
-            )
-            return
-        if resume is not None:
-            x = np.asarray(resume["x"], dtype=float).copy()
-            if x.shape != self.x0.shape:
-                raise BatchError(
-                    f"resume state shape {x.shape} != {self.x0.shape}"
-                )
-            t = float(resume["t"])
-            if resume.get("held") is not None:
-                self.restore_held_state(resume["held"])
-        else:
-            x = self.x0.copy()
-            t = 0.0
-        times: List[float] = []
-        recorded: Dict[str, List[np.ndarray]] = {
-            label: [] for label, __ in self.model.records
-        }
-
-        def snapshot(t: float, x: np.ndarray) -> None:
-            sig = self._outputs(t, x)
-            times.append(t)
-            for label, signal in self.model.records:
-                value = np.asarray(sig[signal], dtype=float)
-                if value.ndim == 0:
-                    value = np.full(self.n, float(value))
-                recorded[label].append(value.copy())
-
-        def flush(t_now: float, steps: int, final: bool) -> BatchChunk:
-            chunk = BatchChunk(
-                t=np.asarray(times, dtype=float),
-                series={
-                    label: np.stack(values) if values
-                    else np.zeros((0, self.n))
-                    for label, values in recorded.items()
-                },
-                t_now=t_now,
-                steps=steps,
-                final=final,
-            )
-            times.clear()
-            for values in recorded.values():
-                values.clear()
-            return chunk
-
-        if resume is not None:
-            step = int(resume["step"])
-            minor_steps = int(resume["minor_steps"])
-            # the sync at this point in time already ran before the
-            # resume point was cut; repeating it would double-advance
-            # sample-and-hold registers
-        else:
-            step = 0
-            minor_steps = 0
-            self._sync(t, x)
-        while t < t_end - 1e-12:
-            hh = min(h, t_end - t)
-            if step % record_every == 0:
-                snapshot(t, x)
-            result = self.binding.step(self._rhs, t, x, hh)
-            x = result.y
-            t = result.t
-            minor_steps += 1
-            step += 1
-            self._sync(t, x)
-            if (
-                chunk_steps is not None
-                and minor_steps % chunk_steps == 0
-                and t < t_end - 1e-12
-            ):
-                partial = flush(t, minor_steps, final=False)
-                partial.resume = self.resume_point(t, x, step, minor_steps)
-                yield partial
-        snapshot(t, x)
-
-        chunk = flush(t, minor_steps, final=True)
-        chunk.final_states = x
-        chunk.stats = {
-            "instances": self.n,
-            "minor_steps": minor_steps,
-            "states_per_instance": x.shape[1],
-            "solver": self.binding.strategy_name,
-            "sweeps": list(self.sweep_paths),
-        }
-        yield chunk
-
-    def _run_chunked_native(
-        self,
-        t_end: float,
-        h: float,
-        record_every: int,
-        chunk_steps: Optional[int],
-        resume: Optional[Mapping[str, Any]],
-    ):
-        """:meth:`run_chunked` on the C kernel.  The whole step/record/
-        sync loop — including the chunk-cut and resume arithmetic — runs
-        inside :func:`batch_run`; Python only sizes record buffers and
-        packages chunks, so per-chunk overhead is O(records), not
-        O(steps)."""
-        kernel = self._native
         if resume is not None:
             x = np.array(resume["x"], dtype=float, order="C")
             if x.shape != self.x0.shape:
@@ -875,56 +775,96 @@ class BatchSimulator:
                 )
             t = float(resume["t"])
             if resume.get("held") is not None:
-                kernel.restore_held(resume["held"])
+                self.restore_held_state(resume["held"])
             step = int(resume["step"])
             minor_steps = int(resume["minor_steps"])
-            # the pre-resume sync already ran inside the kernel before
-            # the resume point was cut; cold=False skips repeating it
+            # the sync at this point in time already ran before the
+            # resume point was cut; repeating it would double-advance
+            # sample-and-hold registers
             cold = False
         else:
-            x = np.ascontiguousarray(self.x0, dtype=float).copy()
-            t = 0.0
-            step = 0
-            minor_steps = 0
-            cold = True
-        labels = [label for label, __ in self.model.records]
+            x = np.array(self.x0, dtype=float, order="C")
+            t, step, minor_steps, cold = 0.0, 0, 0, True
+        kernel = self._native
+        segment = self._run_segment if kernel is None else kernel.run_segment
         done = False
         while not done:
-            if chunk_steps is not None:
-                max_steps = chunk_steps - (minor_steps % chunk_steps)
-            else:
-                max_steps = 0
-            t, step, done, rec_t, rec_vals, taken = kernel.run_segment(
-                t, t_end, h, record_every, step, max_steps, cold, x
+            max_steps = (
+                chunk_steps - minor_steps % chunk_steps if chunk_steps else 0
             )
-            cold = False
-            minor_steps += taken
+            t, x, reached, done, rec_t, series = segment(
+                t, float(t_end), h, int(record_every), step, max_steps,
+                cold, x,
+            )
+            minor_steps += reached - step
+            step, cold = reached, False
             chunk = BatchChunk(
-                t=rec_t.copy(),
-                series={
-                    label: np.ascontiguousarray(rec_vals[:, :, i])
-                    for i, label in enumerate(labels)
-                },
-                t_now=t,
-                steps=minor_steps,
+                t=rec_t, series=series, t_now=t, steps=minor_steps,
                 final=done,
             )
-            if done:
-                chunk.final_states = x
-                chunk.stats = {
-                    "instances": self.n,
-                    "minor_steps": minor_steps,
-                    "states_per_instance": x.shape[1],
-                    "solver": self.binding.strategy_name,
-                    "sweeps": list(self.sweep_paths),
+            if not done:
+                chunk.resume = self.resume_point(t, x, step, minor_steps)
+                yield chunk
+                continue
+            chunk.final_states = x
+            chunk.stats = {
+                "instances": self.n,
+                "minor_steps": minor_steps,
+                "states_per_instance": x.shape[1],
+                "solver": self.binding.strategy_name,
+                "sweeps": list(self.sweep_paths),
+            }
+            if kernel is not None:
+                chunk.stats.update({
                     "backend": "native-batch",
                     "shards": kernel.shards,
                     "artifact": str(kernel.so_path),
                     "artifact_cache_hit": kernel.cache_hit,
-                }
-            else:
-                chunk.resume = self.resume_point(t, x, step, minor_steps)
+                })
             yield chunk
+
+    def _run_segment(
+        self,
+        t: float,
+        t_end: float,
+        h: float,
+        record_every: int,
+        step: int,
+        max_steps: int,
+        cold: bool,
+        x: np.ndarray,
+    ) -> Tuple[float, np.ndarray, int, bool, np.ndarray, Dict[str, Any]]:
+        """One chunk on the NumPy program, with the arguments and
+        returns of :meth:`~repro.core.backend.nativebatch.
+        NativeBatchKernel.run_segment`."""
+        t, x, step, done, times, rows = loop.run(
+            t, x, step, cold, t_end, h, record_every,
+            self._sync, self._advance, self._outvals, max_steps,
+        )
+        series = {
+            label: (
+                np.stack([row[i] for row in rows]) if rows
+                else np.zeros((0, self.n))
+            )
+            for i, (label, __) in enumerate(self.model.records)
+        }
+        return t, x, step, done, np.asarray(times, dtype=float), series
+
+    def _advance(
+        self, t: float, x: np.ndarray, h: float,
+    ) -> Tuple[float, np.ndarray]:
+        result = self.binding.step(self._rhs, t, x, h)
+        return result.t, result.y
+
+    def _outvals(self, t: float, x: np.ndarray) -> List[np.ndarray]:
+        """The recorded signals at ``t``, one ``(n,)`` row each (a
+        signal that does not vary across instances is repeated)."""
+        sig = self._outputs(t, x)
+        row = []
+        for __, signal in self.model.records:
+            value = np.asarray(sig[signal], dtype=float)
+            row.append(value if value.ndim else np.full(self.n, float(value)))
+        return row
 
     def run(
         self,
@@ -998,37 +938,30 @@ def simulate_sequential(
                 f"solver {binding.strategy_name!r} is not a fixed-step "
                 "solver; the sequential reference mirrors the batch loop"
             )
-        x = network.initial_state()
-        t = 0.0
-        rows: Dict[str, List[float]] = {path: [] for path in record_paths}
-        instance_times: List[float] = []
 
-        def snapshot(t: float, x: np.ndarray) -> None:
-            network.evaluate(t, x)
-            instance_times.append(t)
-            for path, port in ports.items():
-                rows[path].append(port.read_scalar())
-
-        step = 0
-        for leaf in network.order:
-            leaf.on_sync(t)
-        while t < t_end - 1e-12:
-            hh = min(h, t_end - t)
-            if step % record_every == 0:
-                snapshot(t, x)
-            result = binding.step(network.rhs, t, x, hh)
-            x = result.y
-            t = result.t
-            minor_steps += 1
-            step += 1
+        def sync(t: float, x: np.ndarray) -> None:
             for leaf in network.order:
                 leaf.on_sync(t)
-        snapshot(t, x)
 
+        def advance(
+            t: float, x: np.ndarray, hh: float,
+        ) -> Tuple[float, np.ndarray]:
+            result = binding.step(network.rhs, t, x, hh)
+            return result.t, result.y
+
+        def outvals(t: float, x: np.ndarray) -> List[float]:
+            network.evaluate(t, x)
+            return [port.read_scalar() for port in ports.values()]
+
+        __, x, steps, __, instance_times, rows = loop.run(
+            0.0, network.initial_state(), 0, True, float(t_end), h,
+            record_every, sync, advance, outvals,
+        )
+        minor_steps += steps
         if i == 0:
             times = instance_times
-        for path in record_paths:
-            series[path].append(rows[path])
+        for j, path in enumerate(record_paths):
+            series[path].append([row[j] for row in rows])
         finals.append(x)
 
     return BatchResult(

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.core import loop
 from repro.core.dport import DPort
 from repro.core.network import FlatNetwork
 from repro.core.thread import RealThreadPool, StreamerThread
@@ -326,8 +327,7 @@ class HybridScheduler:
             self.initialise()
         self._recheck_backend()
         time = self.model.time
-        guard_eps = 1e-12
-        while time.raw < t_end - guard_eps:
+        while time.raw < t_end - loop.EPS:
             t0 = time.raw
             t1 = min(t0 + self.sync_interval, t_end)
             t_reached = self._continuous_phase(t0, t1)

@@ -7,8 +7,9 @@ ServiceOverloaded`, never buffered without limit), and a fixed set of
 worker threads drains it.  Threads are the right default because batch
 jobs spend their time inside NumPy (which releases the GIL) and share
 the in-process plan cache; ``executor="process"`` trades both away for
-hard isolation via a :class:`concurrent.futures.ProcessPoolExecutor`
-(picklable specs only, telemetry reduced to start/end events).
+hard isolation via a spawning :class:`concurrent.futures.
+ProcessPoolExecutor` (picklable specs only, telemetry reduced to
+start/end events).
 
 Per-job guarantees:
 
@@ -347,13 +348,21 @@ class JobEngine:
             time.sleep(min(0.01, wake_at - now))
 
     def _run_isolated(self, handle: JobHandle) -> Any:
-        """Execute in a process pool (hard isolation, picklable specs)."""
+        """Execute in a process pool (hard isolation, picklable specs).
+
+        The pool spawns its workers: this process runs the engine's
+        worker threads, and a fork taken while they hold a lock
+        deadlocks the child."""
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures import TimeoutError as FutureTimeout
 
         with self._lock:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=multiprocessing.get_context("spawn"),
+                )
             pool = self._pool
         try:
             future = pool.submit(

@@ -24,7 +24,6 @@ raised at *submit* time when the bounded queue sheds load.
 from __future__ import annotations
 
 import enum
-import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -40,6 +39,7 @@ from repro.core.batch import (
     BatchChunk, BatchResult, BatchSimulator, compile_batch_program,
     merge_chunks,
 )
+from repro.core import loop
 from repro.core.channel import Channel, ChannelPolicy
 from repro.core.network import FlatNetwork
 from repro.service.telemetry import (
@@ -730,7 +730,7 @@ class BatchJob(JobSpec):
                 ctx, requested, sim.backend_name,
                 sim.backend_fallback_reason,
             )
-        total_steps = max(1, math.ceil(self.t_end / self.h - 1e-12))
+        total_steps = loop.step_count(0.0, self.t_end, self.h)
         chunk_steps = self.chunk_steps
         if chunk_steps is None:
             chunk_steps = max(1, total_steps // 8)

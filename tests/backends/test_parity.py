@@ -294,11 +294,12 @@ class TestNonFiniteParameters:
         ).stdout.split()
         last = [float(v) for v in rows[-1].split(",")]
         ref = self.run("interpreter")
-        # the program prints each row before its step: the last row is
-        # the interpreter's second-to-last record, at 9 digits
-        assert last[0] == ref.t[-2]
+        # the program records like every executor, the final row at
+        # t_end included: its last row is the interpreter's last
+        # record, at 9 digits
+        assert last[0] == ref.t[-1]
         for value, label in zip(last[1:], UNBOUNDED_RECORDS):
-            assert value == pytest.approx(ref.series[label][-2], rel=1e-8)
+            assert value == pytest.approx(ref.series[label][-1], rel=1e-8)
 
 
 @pytest.mark.parametrize("name", sorted(DIAGRAMS))

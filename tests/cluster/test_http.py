@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,9 @@ import pytest
 from repro.cluster.client import ClusterClient, ClusterClientError
 from repro.cluster.http import ClusterHTTPServer, json_safe, summarise_result
 from repro.cluster.pool import ClusterConfig, WorkerPool
-from repro.cluster.requests import ClusterJobRequest, ClusterRejected
+from repro.cluster.requests import (
+    ClusterError, ClusterJobRequest, ClusterRejected,
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +122,58 @@ class TestEndpoints:
                             params={"t_end": 30.0}, checkpoint=False,
                         ))
                 assert excinfo.value.reason == "queue_full"
+
+
+def slow_request():
+    """A job that runs for about a minute unless cancelled."""
+    return ClusterJobRequest(
+        kind="single_run", model="cruise",
+        params={"t_end": 3600.0, "sync_interval": 0.01}, checkpoint=False,
+    )
+
+
+class TestLongPoll:
+    def test_many_long_polls_do_not_delay_a_finished_result(self, cluster):
+        # more long-polls on a slow job than the event loop's default
+        # executor has threads; a finished job's result must not queue
+        # behind them
+        __, client = cluster
+        done_id = client.submit(lag_request())
+        client.result(done_id, timeout=60)
+        slow_id = client.submit(slow_request())
+        pollers = (os.cpu_count() or 1) + 5
+
+        def poll():
+            try:
+                return client.result(slow_id, timeout=20)["state"]
+            except ClusterClientError as exc:
+                return exc.status
+            except ClusterError as exc:
+                return str(exc)
+
+        with ThreadPoolExecutor(pollers) as executor:
+            polls = [executor.submit(poll) for __ in range(pollers)]
+            time.sleep(0.5)  # every poll is parked on the server
+            start = time.monotonic()
+            status = client.result(done_id, timeout=30)
+            elapsed = time.monotonic() - start
+            cancelled = client.cancel(slow_id)
+            outcomes = [future.result(timeout=60) for future in polls]
+        assert status["state"] == "done"
+        assert elapsed < 2.0, f"a finished result took {elapsed:.1f}s"
+        assert cancelled, outcomes
+        assert all("finished cancelled" in str(o) for o in outcomes), outcomes
+
+    def test_timeout_still_answers_408(self, cluster):
+        __, client = cluster
+        slow_id = client.submit(slow_request())
+        try:
+            with pytest.raises(ClusterClientError) as excinfo:
+                client.result(slow_id, timeout=0.2)
+            assert excinfo.value.status == 408
+            assert "still" in str(excinfo.value)
+        finally:
+            client.cancel(slow_id)
 
 
 class TestSummaries:

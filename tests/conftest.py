@@ -7,6 +7,9 @@ rather than golden files.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,31 @@ from repro.core.streamer import Streamer
 from repro.umlrt.capsule import Capsule
 from repro.umlrt.protocol import Protocol
 from repro.umlrt.statemachine import StateMachine
+
+
+#: the threads alive at each ``os.fork()`` taken while another ran
+_THREADED_FORKS: list = []
+
+
+def _note_threaded_fork() -> None:
+    if threading.active_count() > 1:
+        _THREADED_FORKS.append(sorted(t.name for t in threading.enumerate()))
+
+
+os.register_at_fork(before=_note_threaded_fork)
+
+
+@pytest.fixture(autouse=True)
+def no_threaded_fork():
+    """Fail a test that forks this process while other threads run: the
+    child inherits locks those threads hold and can deadlock.  Python
+    3.12 only warns, and swallows the warning even when warnings are
+    errors, so the check is made here."""
+    yield
+    if _THREADED_FORKS:
+        threads = _THREADED_FORKS[0]
+        _THREADED_FORKS.clear()
+        pytest.fail(f"forked while threads ran: {threads}")
 
 
 class ConstLeaf(Streamer):

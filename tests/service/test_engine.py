@@ -7,6 +7,7 @@ released and the pool keeps serving subsequent jobs.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -41,6 +42,17 @@ class SpinJob(JobSpec):
             ctx.checkpoint()
             time.sleep(0.005)
         return "spun"
+
+
+@dataclass
+class ImportedJob(JobSpec):
+    """Reports whether ``module`` is imported where the job runs."""
+
+    module: str = ""
+    kind = "imported"
+
+    def execute(self, ctx: JobContext) -> bool:
+        return self.module in sys.modules
 
 
 @dataclass
@@ -282,3 +294,15 @@ class TestMetrics:
             ]
             assert engine.drain(timeout=10.0)
             assert all(h.state is JobState.DONE for h in handles)
+
+
+class TestProcessExecutor:
+    def test_workers_are_spawned_not_forked(self):
+        # the engine's worker threads are running when the pool starts
+        # its first process; a forked child would inherit this process's
+        # modules, a spawned one imports only what the job needs
+        import colorsys  # noqa: F401 -- imported in this process only
+
+        with JobEngine(workers=2, executor="process") as engine:
+            handle = engine.submit(ImportedJob(module="colorsys"))
+            assert handle.result(timeout=60.0) is False
