@@ -213,7 +213,10 @@ def render_batch_kernel(
 
     The batch-size ``n`` is a *runtime* argument of ``batch_run``;
     nothing per-N is baked into the source, so one artifact serves any
-    instance count.
+    instance count.  Records are written label-major, into the caller's
+    run-long buffer: record ``k`` of label ``i`` for row ``r`` lands at
+    ``rec[i * label_stride + k * rec_stride + r]``, so each label's rows
+    form one C-contiguous ``(records, n)`` block.
     """
     from repro.core.backend.pykernel import kernel_tables
 
@@ -247,20 +250,25 @@ def render_batch_kernel(
     out.append("               long max_steps, int cold, long n,")
     out.append("               double* XB, const double* PB, double* HB,")
     out.append("               double* rec_t, int write_t,")
-    out.append("               double* rec, long rec_stride, long cap,")
+    out.append("               double* rec, long rec_stride,")
+    out.append("               long label_stride, long cap,")
     out.append("               double* t_out, long* step_out,")
     out.append("               int* done_out)")
     out.append("{")
-    out.append("    long nrec = 0, taken = 0, r;")
+    out.append("    long nrec = 0, taken = 0, r, i;")
+    out.append("    double vals[RECN];")
     out.extend(CLang().fixed_step_loop(
         sync=each_row(f"inst_sync(t, {row})"),
         advance=[*each_row(f"inst_step(t, hh, {row})"), "t = t + hh;"],
         record=[
             "if (nrec >= cap) return -1;",
             "if (write_t) rec_t[nrec] = t;",
-            *each_row(
-                f"inst_outvals(t, {row}, rec + nrec * rec_stride + r * RECN)"
-            ),
+            "for (r = 0; r < n; r++) {",
+            f"    inst_outvals(t, {row}, vals);",
+            "    for (i = 0; i < NREC; i++)",
+            "        rec[i * label_stride + nrec * rec_stride + r]"
+            " = vals[i];",
+            "}",
             "nrec += 1;",
         ],
         cut=[

@@ -5,7 +5,10 @@ Adapts :class:`~repro.core.batch.BatchSimulator` (n instances, one
 surface.  The cursor semantics reuse the simulator's own
 ``resume_point``/``run_chunked(resume=...)`` machinery, so consecutive
 :meth:`run` calls continue bitwise exactly as one long chunked run —
-the contract the resilience layer already tests.
+the contract the resilience layer already tests.  A run's series are
+views of the simulator's one record buffer for that run, not copies.
+``rhs`` is the NumPy program's on both batch adapters; a native-batch
+simulator builds that program on the first call.
 
 The batch backend keeps the *expression-form* sampled-block sync (one
 ``np.where`` per register), so it makes no bitwise claim for sampled
@@ -122,7 +125,7 @@ class BatchProgramAdapter(BackendProgram):
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         return np.asarray(
-            self._sim._rhs(float(t), np.asarray(x, dtype=float)),
+            self._sim.rhs(float(t), np.asarray(x, dtype=float)),
             dtype=float,
         )
 

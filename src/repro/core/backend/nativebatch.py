@@ -10,9 +10,15 @@ One artifact therefore serves any N: artifacts are named by a hash of
 the rendered source, flags and compiler (the ``native-c`` build path,
 :func:`repro.core.backend.native.load_artifact`), and neither the
 instance count nor the initial state is baked into the source.
+The kernel renders from a native :class:`~repro.core.batch.BatchProgram`
+(the diagram lowered once, with ``CBatchLang``); no NumPy program is
+built unless the simulator demotes.
 :meth:`NativeBatchKernel.run_segment` takes the arguments and gives the
-returns of the NumPy program's segment, so ``BatchSimulator.
-run_chunked`` cuts, packages and resumes chunks the same way on both.
+returns of the NumPy program's segment, writing its records into the
+run's one label-major buffer, so ``BatchSimulator.run_chunked`` cuts,
+packages and resumes chunks the same way on both.  A segment that
+leaves an instance's state non-finite raises the solvers'
+:class:`~repro.solvers.base.SolverError`, as the NumPy program does.
 :meth:`NativeBatchBackend.prefetch` renders the kernel and starts its
 gcc run in the background; the simulator's build later joins it.
 
@@ -44,7 +50,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core import loop
 from repro.core.backend.base import (
     BackendError, BackendUnavailable, CompileRequest, ExecutionBackend,
     kernel_solver_name, register_backend,
@@ -54,6 +59,7 @@ from repro.core.backend.native import (
     NO_COMPILER, default_cache_dir, has_c_compiler, load_artifact,
     request_cache_dir, start_build,
 )
+from repro.solvers.base import SolverError
 
 _DP = ctypes.POINTER(ctypes.c_double)
 
@@ -91,30 +97,22 @@ def shard_bounds(n: int, shards: int) -> List[Tuple[int, int]]:
 
 
 def batch_kernel_source(program, solver_name: str) -> str:
-    """The N-instance C source of a native-lowered batch program;
-    :class:`BackendUnavailable` when it has no C lowering or a swept
-    parameter did not survive into the source."""
-    model = program.native_model
-    if model is None:
+    """The N-instance C source of a native batch program;
+    :class:`BackendUnavailable` when it is a NumPy program."""
+    if not program.native:
         raise BackendUnavailable(
-            "batch program was compiled without the native lowering "
+            "batch program has no C lowering "
             "(compile_batch_program(..., native=True))"
         )
     from repro.codegen.cgen import render_batch_kernel
     from repro.codegen.common import CodegenError
 
     try:
-        source = render_batch_kernel(
-            model, solver_name, len(program.sweep_paths),
+        return render_batch_kernel(
+            program.model, solver_name, len(program.sweep_paths),
         )
     except CodegenError as exc:
         raise BackendUnavailable(str(exc)) from exc
-    for var, path in enumerate(program.sweep_paths):
-        if f"P[{var}]" not in source:
-            raise BackendUnavailable(
-                f"sweep {path!r}: symbol folded out of the C lowering"
-            )
-    return source
 
 
 def _load_batch(so_path: Path) -> ctypes.CDLL:
@@ -124,6 +122,7 @@ def _load_batch(so_path: Path) -> ctypes.CDLL:
         ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_int,
         ctypes.c_long, _DP, _DP, _DP,
         _DP, ctypes.c_int, _DP, ctypes.c_long, ctypes.c_long,
+        ctypes.c_long,
         ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_long),
         ctypes.POINTER(ctypes.c_int),
     ]
@@ -163,7 +162,7 @@ class NativeBatchKernel:
         from repro.core.backend.pykernel import kernel_tables
 
         n_params = len(program.sweep_paths)
-        tables = kernel_tables(program.native_model)
+        tables = kernel_tables(program.model)
         self._lib, so_path, cache_hit = load_artifact(
             source, Path(cache_dir) if cache_dir else default_cache_dir(),
             _load_batch,
@@ -177,7 +176,6 @@ class NativeBatchKernel:
         self.n_states = tables["n_states"]
         self.nxs = max(1, self.n_states)
         self.labels = [label for label, __ in program.model.records]
-        self.recn = max(1, len(self.labels))
         self.held_names: List[str] = [name for name, __ in tables["held"]]
         self.nhs = max(1, len(self.held_names))
         nps = max(1, n_params)
@@ -240,19 +238,35 @@ class NativeBatchKernel:
         max_steps: int,
         cold: bool,
         x: np.ndarray,
-    ) -> Tuple[float, np.ndarray, int, bool, np.ndarray, Dict[str, Any]]:
+        rec_t: np.ndarray,
+        rec: np.ndarray,
+        row: int,
+    ) -> Tuple[float, np.ndarray, int, bool, int]:
         """Advance every instance until ``t_end`` or ``max_steps`` minor
         steps (0: unlimited), mutating ``x``/``H`` in place.
 
-        Returns ``(t, x, step, done, rec_t, series)``: the cursor
-        reached, whether it is at ``t_end``, the record times ``(nrec,)``
-        and each recorded label's ``(nrec, n)`` rows.
+        Records go to the rows from ``row`` on of the run's buffers:
+        the times ``rec_t`` ``(cap,)`` and the label-major series
+        ``rec`` ``(labels, cap, n)``.  Returns ``(t, x, step, done,
+        rows)``: the cursor reached, whether it is at ``t_end`` and the
+        rows written.  Raises :class:`~repro.solvers.base.SolverError`
+        when an instance's state is non-finite at the segment's end.
         """
         xb = self._state_buffer(x)
-        cap = loop.record_capacity(t, t_end, h, record_every, max_steps)
-        rec_t = np.empty(cap, dtype=float)
-        rec = np.empty((cap, self.n, self.recn), dtype=float)
-        rec_stride = self.n * self.recn
+        rows_total = len(rec_t)
+        if not (
+            rec.shape == (len(self.labels), rows_total, self.n)
+            and rec.dtype == rec_t.dtype == np.float64
+            and rec.flags.c_contiguous and rec_t.flags.c_contiguous
+            and 0 <= row <= rows_total
+        ):
+            raise BackendError(
+                f"record buffers must be C-contiguous float64 (cap,) and "
+                f"({len(self.labels)}, cap, {self.n}) with row {row} in "
+                f"[0, cap]; got {rec_t.dtype} {rec_t.shape}, {rec.dtype} "
+                f"{rec.shape}"
+            )
+        cap = rows_total - row
         bounds = shard_bounds(self.n, self.shards)
 
         def run_rows(lo: int, hi: int, write_t: bool):
@@ -266,8 +280,9 @@ class NativeBatchKernel:
                 _ptr_at(xb, lo * xb.shape[1]),
                 _ptr_at(self._P, lo * self.nps),
                 _ptr_at(self._H, lo * self.nhs),
-                _ptr_at(rec_t, 0), 1 if write_t else 0,
-                _ptr_at(rec, lo * self.recn), rec_stride, cap,
+                _ptr_at(rec_t, row), 1 if write_t else 0,
+                _ptr_at(rec, row * self.n + lo), self.n,
+                rows_total * self.n, cap,
                 ctypes.byref(t_out), ctypes.byref(step_out),
                 ctypes.byref(done_out),
             )
@@ -298,10 +313,14 @@ class NativeBatchKernel:
             raise BackendError(
                 f"native batch record buffer overflow (cap={cap})"
             )
-        return t_new, x, step_new, bool(done), rec_t[:nrec].copy(), {
-            label: np.ascontiguousarray(rec[:nrec, :, i])
-            for i, label in enumerate(self.labels)
-        }
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            raise SolverError(
+                f"{self.solver_name}: non-finite state at t={t_new:.6g} "
+                "(diverged or step too large) in instances "
+                f"{np.flatnonzero(~finite).tolist()}"
+            )
+        return t_new, x, step_new, bool(done), nrec
 
 
 class NativeBatchAdapter(BatchProgramAdapter):

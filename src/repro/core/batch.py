@@ -25,6 +25,13 @@ of folding a literal), ending up as one row of the parameter matrix
 ``num`` (e.g. a Sine's ``2*pi*f``), the symbol is folded away — the
 backend detects this and raises :class:`BatchError` rather than silently
 running every instance with the base value.
+
+The ``native-batch`` backend runs the same plan as an N-instance C
+kernel (:mod:`repro.core.backend.nativebatch`).  Its program holds the
+C lowering alone; the NumPy program of the same diagram is compiled only
+when a native simulator is about to run it (a demotion, or ``rhs``).
+Either way one run writes its records once, into one buffer sized for
+the whole run, and its chunks are views of that buffer.
 """
 
 from __future__ import annotations
@@ -70,27 +77,33 @@ class SweepVar(float):
 
 @dataclass(frozen=True)
 class BatchProgram:
-    """The reusable compile artefact of the batch backend.
+    """The reusable compile artefact of the batch backends.
 
-    Everything derived from the *diagram structure* alone — the lowered
-    model (plan + per-block code), the rendered vectorised source and
-    the sorted sweep-path order that fixes the parameter-matrix row
-    layout.  Instance count, sweep *values*, solver and step size are
-    all run-time inputs, so one program serves any number of
-    :class:`BatchSimulator` instantiations; the service layer's
+    Everything derived from the *diagram structure* alone — one lowered
+    model (plan + per-block code) and the sorted sweep-path order that
+    fixes the parameter-matrix row layout.  A NumPy program
+    (:class:`~repro.codegen.common.NumpyLang`) also carries its rendered
+    vectorised :attr:`source`; a :attr:`native` one is lowered with
+    :class:`~repro.codegen.common.CBatchLang`, and the native-batch
+    backend renders its N-instance C kernel from it.  Instance count,
+    sweep *values*, solver and step size are all run-time inputs, so one
+    program serves any number of :class:`BatchSimulator`
+    instantiations; the service layer's
     :class:`~repro.service.cache.PlanCache` stores these keyed by
     :meth:`ExecutionPlan.fingerprint` to make re-submission skip the
     whole lower/render/exec pipeline.
     """
 
     model: Any  # LoweredModel (kept Any to avoid a codegen import cycle)
-    source: str
     sweep_paths: Tuple[str, ...]
-    #: optional second lowering with :class:`~repro.codegen.common.
-    #: CBatchLang` (``compile_batch_program(..., native=True)``) — the
-    #: native-batch backend renders its N-instance C kernel from this;
-    #: None means the program can only run on the NumPy path
-    native_model: Any = None
+    #: the rendered ``_build`` factory of a NumPy program (None for a
+    #: native program, which has no NumPy source)
+    source: Optional[str] = None
+
+    @property
+    def native(self) -> bool:
+        """True for the C lowering of the native-batch kernel."""
+        return self.source is None
 
     @property
     def plan(self):
@@ -121,7 +134,8 @@ class BatchProgram:
 
 @dataclass
 class BatchChunk:
-    """One streamed slice of a chunked batch run."""
+    """One streamed slice of a chunked batch run; its ``t`` and
+    ``series`` are views of the run's one record buffer."""
 
     #: recorded times in this chunk, shape ``(T_chunk,)``
     t: np.ndarray
@@ -349,8 +363,8 @@ def batch_program_cache_key(
         "batch.records": tuple(records) if records else "<default>",
         "batch.sweep_paths": tuple(sorted(sweep_paths)),
     }
-    # native-lowered programs carry an extra LoweredModel; they must
-    # never serve (or be served by) NumPy-only compilations
+    # native programs hold the C lowering instead of the NumPy one;
+    # they must never serve (or be served by) NumPy compilations
     if native:
         extra["batch.native"] = True
     if opt_config is not None and opt_config.is_active:
@@ -380,12 +394,12 @@ def compile_batch_program(
     protected from rewriting (their ``SweepVar`` symbols must survive to
     the emitted source).
 
-    ``native=True`` additionally lowers the diagram with
-    :class:`~repro.codegen.common.CBatchLang` and attaches the result as
-    :attr:`BatchProgram.native_model`, which is what the native-batch
-    backend renders its C kernel from.  An unlowerable model (no C
-    emitter path) leaves ``native_model`` None and the simulator falls
-    back to the NumPy program.
+    ``native=True`` lowers the diagram once, with
+    :class:`~repro.codegen.common.CBatchLang`, into a
+    :attr:`~BatchProgram.native` program the native-batch backend
+    renders its C kernel from; nothing is rendered for NumPy.  Only when
+    the C lowering raises :class:`~repro.codegen.common.CodegenError`
+    is the NumPy program compiled instead (the simulator then demotes).
     """
     ordered = tuple(sorted(sweep_paths))
     items: List[Tuple[Streamer, str, float, SweepVar]] = []
@@ -395,30 +409,38 @@ def compile_batch_program(
         var = SweepVar(base, np.asarray([base]), f"P[{j}]")
         items.append((block, key, base, var))
         block.params[key] = var
-    native_model = None
+    model = None
     try:
         from repro.codegen.common import (
             CBatchLang, CodegenError, NumpyLang, lower,
         )
 
-        model = lower(
-            diagram, NumpyLang(), records,
-            opt_level=opt_level, opt_config=opt_config,
-        )
         if native:
             try:
-                native_model = lower(
+                model = lower(
                     diagram, CBatchLang(), records,
                     opt_level=opt_level, opt_config=opt_config,
                 )
             except CodegenError:
-                native_model = None  # NumPy-only program; backend demotes
+                native = False
+        if model is None:
+            model = lower(
+                diagram, NumpyLang(), records,
+                opt_level=opt_level, opt_config=opt_config,
+            )
     finally:
         for block, key, base, __ in items:
             block.params[key] = base
-    source = _render_program(model)
+    emitted = "\n".join(
+        line
+        for code in model.code.values()
+        for line in (
+            *code.output_lines, *code.deriv_exprs, *code.sync_lines,
+            *(stmt for __, stmt in code.sync_stmts),
+        )
+    )
     for (block, key, __, var), path in zip(items, ordered):
-        if var.symbol not in source:
+        if var.symbol not in emitted:
             raise BatchError(
                 f"sweep {path!r}: the emitter for "
                 f"{type(block).__name__} folds {key!r} into a "
@@ -427,29 +449,57 @@ def compile_batch_program(
                 "through verbatim"
             )
     return BatchProgram(
-        model=model, source=source, sweep_paths=ordered,
-        native_model=native_model,
+        model=model, sweep_paths=ordered,
+        source=None if native else _render_program(model),
+    )
+
+
+def _joined(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(parts)`` without the copy when the parts are
+    consecutive row ranges of one C-contiguous buffer, as the chunks of
+    one run are: then the view spanning them."""
+    # an empty slice adds no rows, and its data pointer is not its offset
+    parts = [part for part in parts if len(part)] or parts[-1:]
+    first = parts[0]
+    base = first.base
+    if len(parts) == 1:
+        return first
+    if base is None or not base.flags.c_contiguous:
+        return np.concatenate(parts)
+    end = first.ctypes.data
+    for part in parts:
+        if (
+            part.base is not base
+            or part.dtype != first.dtype
+            or part.shape[1:] != first.shape[1:]
+            or not part.flags.c_contiguous
+            or part.ctypes.data != end
+        ):
+            return np.concatenate(parts)
+        end += part.nbytes
+    return np.ndarray(
+        (sum(len(part) for part in parts), *first.shape[1:]),
+        dtype=first.dtype, buffer=base,
+        offset=first.ctypes.data - base.ctypes.data,
     )
 
 
 def merge_chunks(chunks: Sequence[BatchChunk], n: int) -> BatchResult:
     """Stitch streamed :class:`BatchChunk` slices back into one
-    :class:`BatchResult` (the last chunk must be the final one)."""
+    :class:`BatchResult` (the last chunk must be the final one).
+
+    The chunks of one uninterrupted run are consecutive views of its
+    record buffer, so their result is that buffer, not a copy; chunks
+    restored from a checkpoint are concatenated."""
     if not chunks or not chunks[-1].final:
         raise BatchError("chunk stream ended without a final chunk")
     last = chunks[-1]
-    labels = list(last.series)
-    times = np.concatenate([c.t for c in chunks]) if chunks else np.zeros(0)
-    series = {
-        label: (
-            np.concatenate([c.series[label] for c in chunks])
-            if any(len(c.t) for c in chunks) else np.zeros((0, n))
-        )
-        for label in labels
-    }
     return BatchResult(
-        t=times,
-        series=series,
+        t=_joined([c.t for c in chunks]),
+        series={
+            label: _joined([c.series[label] for c in chunks])
+            for label in last.series
+        },
         final_states=last.final_states,
         n=n,
         stats=dict(last.stats),
@@ -538,15 +588,17 @@ class BatchSimulator:
         :class:`~repro.service.cache.PlanCache` entry).  When given, the
         whole lower/render pipeline is skipped — only the cheap
         per-instantiation ``exec`` of the rendered ``_build`` factory
-        runs — and ``diagram``/``records`` are ignored.  The ``sweeps``
-        keys must match the paths the program was compiled for.
+        (or the native kernel's load) runs.  The ``sweeps`` keys must
+        match the paths the program was compiled for.  ``diagram``,
+        ``records`` and the optimizer settings serve a
+        :attr:`~BatchProgram.native` program only: they compile its
+        NumPy program if the simulator needs one.
     opt_level / opt_config:
         Plan-optimizer configuration (:mod:`repro.core.opt`) applied
-        while compiling the program.  Ignored when ``program`` is given.
+        while compiling the program.
     cache:
-        Where to look up/share the compiled program when ``program`` is
-        not given: ``None`` (default) uses the process-wide
-        :func:`shared_program_cache`; a
+        Where to look up/share the compiled program: ``None`` (default)
+        uses the process-wide :func:`shared_program_cache`; a
         :class:`~repro.service.cache.PlanCache` uses that instance;
         ``False`` compiles privately (the pre-cache behaviour).
     backend:
@@ -554,8 +606,9 @@ class BatchSimulator:
         ``"native-batch"`` builds/loads the N-instance C kernel
         (:mod:`repro.core.backend.nativebatch`) and runs every chunk
         through it.  When the kernel cannot be built (no compiler,
-        non-kernel solver, unlowerable model) the simulator *falls
-        back* to the NumPy program — check :attr:`backend_name` /
+        non-kernel solver, unlowerable model, an artifact that will not
+        load) the simulator *falls back* to the NumPy program, compiled
+        then — check :attr:`backend_name` /
         :attr:`backend_fallback_reason`; ``metrics`` (when given)
         counts the demotion under ``backend.fallback``.
     shards:
@@ -638,18 +691,28 @@ class BatchSimulator:
         self.program = program
         self.model = program.model
         self.plan = program.model.plan
-        self.source = program.source
         self.sweep_paths = list(program.sweep_paths)
         self._P = (
             np.stack([sweep_values[path] for path in program.sweep_paths])
             if program.sweep_paths else np.zeros((0, self.n))
         )
-        namespace: Dict[str, Any] = {"np": np}
-        exec(program.code, namespace)
-        (
-            self._outputs, self._rhs, self._sync,
-            self._get_held, self._set_held,
-        ) = namespace["_build"](self.n, self._P)
+
+        def numpy_program() -> BatchProgram:
+            if not program.native:
+                return program
+            if diagram is None:
+                raise BatchError(
+                    "a native program runs on the NumPy backend only "
+                    "with the diagram it was compiled from"
+                )
+            return batch_program(
+                diagram, records=records, sweep_paths=program.sweep_paths,
+                opt_level=opt_level, opt_config=opt_config, cache=cache,
+            )
+
+        self._numpy_program = numpy_program
+        #: the NumPy program's closures, once bound (:meth:`_bind_numpy`)
+        self._rhs = None
 
         n_state = len(self.model.initial_state)
         if x0 is None:
@@ -688,12 +751,24 @@ class BatchSimulator:
                 if metrics is not None:
                     metrics.counter("backend.fallback").inc()
                     metrics.counter("backend.fallback.native-batch").inc()
+        if self._native is None:
+            self._bind_numpy()
         self.backend_name = (
             "native-batch" if self._native is not None else "batch"
         )
         self.shards = (
             self._native.shards if self._native is not None else None
         )
+
+    def _bind_numpy(self) -> None:
+        """Exec the NumPy program (fetched through the program cache for
+        a native program) and bind its closures."""
+        namespace: Dict[str, Any] = {"np": np}
+        exec(self._numpy_program().code, namespace)
+        (
+            self._outputs, self._rhs, self._sync,
+            self._get_held, self._set_held,
+        ) = namespace["_build"](self.n, self._P)
 
     # ------------------------------------------------------------------
     # execution-backend adapter
@@ -721,6 +796,16 @@ class BatchSimulator:
             self._native.restore_held(values)
             return
         self._set_held(values)
+
+    def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Every instance's derivative at ``(t, x)`` under the current
+        held registers, from the NumPy program (a native simulator binds
+        it on first use)."""
+        if self._native is not None:
+            if self._rhs is None:
+                self._bind_numpy()
+            self._set_held(self._native.held_state())
+        return self._rhs(t, x)
 
     def resume_point(
         self, t: float, x: np.ndarray, step: int, minor_steps: int
@@ -787,21 +872,34 @@ class BatchSimulator:
             t, step, minor_steps, cold = 0.0, 0, 0, True
         kernel = self._native
         segment = self._run_segment if kernel is None else kernel.run_segment
+        labels = [label for label, __ in self.model.records]
+        # one record buffer for the whole run, label-major so that each
+        # label's rows are one C-contiguous (rows, n) block; a segment
+        # writes the rows after the last one, and its chunk views them
+        cap = loop.record_capacity(t, float(t_end), h, int(record_every))
+        rec_t = np.empty(cap)
+        rec = np.empty((len(labels), cap, self.n))
+        row = 0
         done = False
         while not done:
             max_steps = (
                 chunk_steps - minor_steps % chunk_steps if chunk_steps else 0
             )
-            t, x, reached, done, rec_t, series = segment(
+            t, x, reached, done, rows = segment(
                 t, float(t_end), h, int(record_every), step, max_steps,
-                cold, x,
+                cold, x, rec_t, rec, row,
             )
             minor_steps += reached - step
             step, cold = reached, False
             chunk = BatchChunk(
-                t=rec_t, series=series, t_now=t, steps=minor_steps,
-                final=done,
+                t=rec_t[row:row + rows],
+                series={
+                    label: rec[i, row:row + rows]
+                    for i, label in enumerate(labels)
+                },
+                t_now=t, steps=minor_steps, final=done,
             )
+            row += rows
             if not done:
                 chunk.resume = self.resume_point(t, x, step, minor_steps)
                 yield chunk
@@ -833,38 +931,36 @@ class BatchSimulator:
         max_steps: int,
         cold: bool,
         x: np.ndarray,
-    ) -> Tuple[float, np.ndarray, int, bool, np.ndarray, Dict[str, Any]]:
+        rec_t: np.ndarray,
+        rec: np.ndarray,
+        row: int,
+    ) -> Tuple[float, np.ndarray, int, bool, int]:
         """One chunk on the NumPy program, with the arguments and
         returns of :meth:`~repro.core.backend.nativebatch.
         NativeBatchKernel.run_segment`."""
-        t, x, step, done, times, rows = loop.run(
+        first = row
+        signals = [signal for __, signal in self.model.records]
+
+        def record(t: float, x: np.ndarray) -> None:
+            # a signal that does not vary across instances broadcasts
+            nonlocal row
+            sig = self._outputs(t, x)
+            rec_t[row] = t
+            for i, signal in enumerate(signals):
+                rec[i, row] = sig[signal]
+            row += 1
+
+        t, x, step, done, __, __ = loop.run(
             t, x, step, cold, t_end, h, record_every,
-            self._sync, self._advance, self._outvals, max_steps,
+            self._sync, self._advance, record, max_steps,
         )
-        series = {
-            label: (
-                np.stack([row[i] for row in rows]) if rows
-                else np.zeros((0, self.n))
-            )
-            for i, (label, __) in enumerate(self.model.records)
-        }
-        return t, x, step, done, np.asarray(times, dtype=float), series
+        return t, x, step, done, row - first
 
     def _advance(
         self, t: float, x: np.ndarray, h: float,
     ) -> Tuple[float, np.ndarray]:
         result = self.binding.step(self._rhs, t, x, h)
         return result.t, result.y
-
-    def _outvals(self, t: float, x: np.ndarray) -> List[np.ndarray]:
-        """The recorded signals at ``t``, one ``(n,)`` row each (a
-        signal that does not vary across instances is repeated)."""
-        sig = self._outputs(t, x)
-        row = []
-        for __, signal in self.model.records:
-            value = np.asarray(sig[signal], dtype=float)
-            row.append(value if value.ndim else np.full(self.n, float(value)))
-        return row
 
     def run(
         self,

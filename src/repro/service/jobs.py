@@ -586,15 +586,17 @@ class BatchJob(JobSpec):
     BatchProgram`, so resubmitting a structurally identical diagram
     skips straight to the cheap per-job instantiation.  The run itself
     is chunked; every chunk streams out as a CHUNK telemetry event and
-    passes a cancellation/deadline checkpoint.
+    passes a cancellation/deadline checkpoint.  The chunks are views of
+    the run's one record buffer, so the job's result is that buffer,
+    not a concatenated copy.
 
     Resilience: with ``checkpoint_dir`` set, every non-final chunk
     boundary spools a ``kind="batch"`` snapshot — the chunks recorded so
     far plus the simulator's :meth:`~repro.core.batch.BatchSimulator.
     resume_point` — fingerprinted with the same content-address the plan
     cache uses.  A retried attempt reloads the newest valid one,
-    replays nothing, and continues mid-run bitwise (the concatenated
-    chunks equal an uninterrupted run's).
+    replays nothing, and continues mid-run bitwise (the restored chunks
+    and the new ones, concatenated, equal an uninterrupted run's).
     """
 
     diagram_factory: Optional[Callable[[], "Diagram"]] = None
@@ -708,9 +710,13 @@ class BatchJob(JobSpec):
                 _record_opt_metrics(
                     ctx, getattr(program.plan, "opt_report", None),
                 )
+            # a native program compiles its NumPy program from the
+            # diagram, should the simulator demote
             sim = BatchSimulator(
-                n=self.n, solver=self.solver, h=self.h, sweeps=sweeps,
-                x0=self.x0, program=program,
+                self._fresh_diagram(diagram) if program.native else None,
+                n=self.n, solver=self.solver, h=self.h,
+                records=self.records, sweeps=sweeps, x0=self.x0,
+                program=program, opt_config=opt, cache=cache,
                 backend="native-batch" if native_wanted else None,
                 shards=self.shards,
             )

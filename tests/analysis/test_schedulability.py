@@ -481,7 +481,7 @@ class TestTasksetFromModel:
 # hypothesis properties
 # ----------------------------------------------------------------------
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 def taskset_strategy(max_tasks=4, max_util=0.95):
@@ -517,14 +517,24 @@ class TestProperties:
     @given(ts=taskset_strategy(), frac=st.floats(
         min_value=0.0, max_value=1.0,
     ))
+    # at frac = 1 the product ``wcet * (period / wcet)`` rounds one ulp
+    # past the period here
+    @example(
+        ts=TaskSet([
+            Task("t0", wcet=18.743322937658537, period=52.48793530442188),
+        ]),
+        frac=1.0,
+    )
     def test_rta_monotone_in_wcet(self, ts, frac):
         """Growing every WCET can only flip the verdict from
         schedulable to not, and (where both fixed points exist) never
         shrinks any response time."""
         slack = min(t.period / t.wcet for t in ts)
         scale = 1.0 + frac * (min(slack, 3.0) - 1.0)
+        # the grown WCET never exceeds the period (the implicit
+        # deadline), which rounding in the product alone could break
         grown = TaskSet([
-            Task(t.name, wcet=t.wcet * scale, period=t.period)
+            Task(t.name, wcet=min(t.wcet * scale, t.period), period=t.period)
             for t in ts
         ])
         before = response_time_analysis(ts)
