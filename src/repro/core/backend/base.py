@@ -164,9 +164,10 @@ class BackendProgram:
     checkpoint payload (plain data only).
 
     The scalar programs keep that cursor in ``_t``, ``_x``, ``_step``
-    and ``_cold`` and define the loop bodies ``_sync(t, x)``,
-    ``_advance(t, x, h)`` and ``_outvals(t, x)``; :meth:`step` and
-    :meth:`_run_loop` run those through :mod:`repro.core.loop`.
+    and ``_cold``, their solver's name in ``_solver_name``, and define
+    the loop bodies ``_sync(t, x)``, ``_advance(t, x, h)`` and
+    ``_outvals(t, x)``; :meth:`step` and :meth:`_run_loop` run those
+    through :mod:`repro.core.loop`.
     """
 
     #: registry name of the producing backend
@@ -191,6 +192,7 @@ class BackendProgram:
         )
         self._step += 1
         self._cold = False
+        loop.check_finite(self._solver_name, self._t, self._x)
         return self._t
 
     def run(

@@ -59,6 +59,7 @@ class InterpreterProgram(BackendProgram):
         self._initial = np.asarray(initial_state, dtype=float).copy()
         self._records = records
         self._binding = SolverBinding(solver)
+        self._solver_name = self._binding.strategy_name
         self.h = float(h)
         # blocks are live objects shared with the diagram; capture their
         # pristine discrete state now so reset() can truly rewind (the

@@ -14,10 +14,11 @@ model name either, so it depends on the model's structure alone.
 
 Artifacts are content-addressed: ``<key>.so``, where the key hashes what
 gcc actually sees — the rendered source, :data:`CFLAGS` and the compiler
-path (:func:`content_key`).  Two requests that render the same C (one
-plan at O0 and O1, or one model at two setpoints) therefore share one
-build, and any change to the renderer misses by construction.  A build
-has two halves.
+path (:func:`content_key`) — with the interpreter's built-in SHA-256
+(:mod:`repro._digest`), so naming a kernel loads no OpenSSL.  Two
+requests that render the same C (one plan at O0 and O1, or one model at
+two setpoints) therefore share one build, and any change to the
+renderer misses by construction.  A build has two halves.
 :func:`start_build` writes the ``.c`` and launches gcc in the background
 (:class:`subprocess.Popen`, no Python threads).
 :func:`build_artifact` waits for it, joining a build of the same source
@@ -42,14 +43,15 @@ No compiler, a failed build or a fresh artifact that will not load
 raises :class:`BackendUnavailable` — the resolver then demotes to
 ``compiled-python`` (metric + telemetry event), never failing the run.
 A cached artifact that will not load is rebuilt once
-(:func:`load_artifact`).
+(:func:`load_artifact`).  A run or step that leaves the state non-finite
+raises the solvers' :class:`~repro.solvers.base.SolverError`
+(:func:`repro.core.loop.check_finite`), as the interpreter does.
 """
 
 from __future__ import annotations
 
 import atexit
 import ctypes
-import hashlib
 import os
 import shutil
 import signal
@@ -61,6 +63,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro._digest import sha256
 from repro._lockfile import ElectionTimeout, elect, release
 from repro.codegen.cgen import kernel_functions
 from repro.codegen.common import C_LIBM_DECLARATIONS, CLang, CParamLang
@@ -269,7 +272,7 @@ def render_c_kernel(model, solver_name: str) -> str:
 def content_key(source: str, compiler: str) -> str:
     """The artifact name: a hash of everything gcc sees — the compiler
     path, :data:`CFLAGS`, :data:`LIBS` and the rendered source."""
-    digest = hashlib.sha256()
+    digest = sha256()
     for part in (compiler, *CFLAGS, *LIBS, source):
         digest.update(part.encode())
         digest.update(b"\0")
@@ -679,6 +682,7 @@ class NativeProgram(BackendProgram):
         self._t = t_out.value
         self._step = step_out.value
         self._cold = False
+        loop.check_finite(self._solver_name, self._t, self.x)
         labels = self.record_labels()
         return ProgramResult(
             t=rec_t[:nrec].copy(),

@@ -59,7 +59,7 @@ from repro.core.backend.native import (
     NO_COMPILER, default_cache_dir, has_c_compiler, load_artifact,
     request_cache_dir, start_build,
 )
-from repro.solvers.base import SolverError
+from repro.solvers.base import SolverError, non_finite
 
 _DP = ctypes.POINTER(ctypes.c_double)
 
@@ -316,8 +316,7 @@ class NativeBatchKernel:
         finite = np.isfinite(x).all(axis=1)
         if not finite.all():
             raise SolverError(
-                f"{self.solver_name}: non-finite state at t={t_new:.6g} "
-                "(diverged or step too large) in instances "
+                f"{non_finite(self.solver_name, t_new)} in instances "
                 f"{np.flatnonzero(~finite).tolist()}"
             )
         return t_new, x, step_new, bool(done), nrec

@@ -15,6 +15,10 @@ toolchain) and is bitwise identical to the ``interpreter`` backend:
   sync_stmts` replica of ``SampledBlock.on_sync`` — same epsilon, same
   clock walk, reading pre-sync signal values exactly as the live blocks
   read pre-sync pads.
+
+A run or step that leaves the state non-finite raises the solvers'
+:class:`~repro.solvers.base.SolverError` (:func:`repro.core.loop.
+check_finite`), as the interpreter does.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.codegen.common import PyLang, UnsupportedBlockError
+from repro.core import loop
 from repro.core.backend.base import (
     BackendProgram, CompileRequest, ExecutionBackend, KERNEL_VERSION,
     ProgramResult, kernel_solver_name, lower_request, register_backend,
@@ -225,6 +230,7 @@ class PyKernelProgram(BackendProgram):
         record_every: int = 1,
     ) -> ProgramResult:
         times, series = self._run_loop(t_end, h, record_every)
+        loop.check_finite(self._solver_name, self._t, self._x)
         return ProgramResult(
             t=times,
             series=series,

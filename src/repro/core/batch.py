@@ -1036,6 +1036,9 @@ def simulate_sequential(
             )
 
         def sync(t: float, x: np.ndarray) -> None:
+            # pads first, as the interpreter's sync: each on_sync reads
+            # its input at (t, x), not what the last solver stage left
+            network.evaluate(t, x)
             for leaf in network.order:
                 leaf.on_sync(t)
 

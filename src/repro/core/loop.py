@@ -15,7 +15,10 @@ programs — advances a cursor ``(t, x, step, cold)`` the same way:
   after every step;
 * a run may be cut after ``max_steps`` steps (a chunk boundary) and
   resumed later from the returned cursor without repeating a sync; the
-  run that reaches ``t_end`` records once more there.
+  run that reaches ``t_end`` records once more there;
+* a state that goes non-finite raises
+  :class:`~repro.solvers.base.SolverError` (:func:`check_finite`), and
+  the run, or chunk, that reached it returns no records.
 
 :func:`run` is the executable spec.  The Python executors run their own
 sync, step and record bodies through it, and
@@ -29,6 +32,10 @@ from __future__ import annotations
 
 import math
 from typing import Any, Callable, List, Tuple
+
+import numpy as np
+
+from repro.solvers.base import SolverError, non_finite
 
 #: the loop runs while ``t < t_end - EPS``
 EPS = 1e-12
@@ -92,6 +99,18 @@ def step(
     t, x = advance(t, x, h)
     sync(t, x)
     return t, x
+
+
+def check_finite(solver: str, t: float, x: Any) -> None:
+    """Raise :class:`~repro.solvers.base.SolverError` when the state
+    ``x`` the cursor reached at ``t`` holds an inf or a NaN.
+
+    The interpreter's solvers check each step they take; the compiled
+    kernels step without them, so their programs check once per
+    :func:`step` and once per run, before any record is returned.
+    """
+    if not np.isfinite(x).all():
+        raise SolverError(non_finite(solver, t))
 
 
 def step_count(t: float, t_end: float, h: float) -> int:

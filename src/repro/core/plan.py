@@ -37,17 +37,24 @@ synchronisation points; cross-thread edges are simply *absent* from the
 view, so the receiving pads stay frozen during a slice, which is exactly
 the paper's threads-plus-channels sampling semantics.  All views share
 one :class:`PlanCounters`, so analysis counters aggregate across threads.
+
+Identity: :meth:`ExecutionPlan.fingerprint` hashes the tables into the
+key every plan cache and snapshot uses.  The hash is the interpreter's
+built-in SHA-256 (:mod:`repro._digest`): the same digest
+:func:`hashlib.sha256` gives, without loading OpenSSL into every
+process that keys a plan.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
 
 import numpy as np
+
+from repro._digest import sha256
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.network import FlatNetwork, ResolvedEdge
@@ -497,7 +504,7 @@ class ExecutionPlan:
         artefact caches must keep the default — for them a parameter
         value *is* part of the artefact.
         """
-        digest = hashlib.sha256()
+        digest = sha256()
 
         def feed(*parts: Any) -> None:
             digest.update(

@@ -7,7 +7,9 @@ grid.  The codec never pickles live objects; every subsystem exposes an
 explicit extraction hook (``snapshot_state`` / ``restore_state`` and
 friends) returning plain data, and the codec assembles those parts into a
 :class:`Snapshot` keyed to the model's
-:meth:`~repro.core.plan.ExecutionPlan.fingerprint`.
+:meth:`~repro.core.plan.ExecutionPlan.fingerprint` (a capsule-only
+model, which has no plan, hashes its capsule topology instead, with the
+same built-in SHA-256, :mod:`repro._digest`).
 
 What is captured
 ----------------
@@ -43,7 +45,6 @@ raised before any state is touched, so a failed restore caches nothing).
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -51,6 +52,7 @@ from typing import TYPE_CHECKING, Any, Dict
 
 import numpy as np
 
+from repro._digest import sha256
 from repro.solvers.history import Trajectory
 from repro.umlrt.signal import Message, Priority
 
@@ -277,7 +279,7 @@ class SnapshotCodec:
                 extra=extra, include_param_values=False,
             )
         rts = scheduler.model.rts
-        digest = hashlib.sha256()
+        digest = sha256()
         digest.update(repr(sorted(extra.items())).encode())
         digest.update(scheduler.model.name.encode())
         for capsule in sorted(

@@ -15,6 +15,15 @@ class SolverError(Exception):
     """Raised on numerical failure (divergence, NaN, step underflow)."""
 
 
+def non_finite(solver: str, t: float) -> str:
+    """The head of every executor's divergence :class:`SolverError`
+    message: the state reached at ``t`` holds an inf or a NaN."""
+    return (
+        f"{solver}: non-finite state at t={t:.6g} "
+        "(diverged or step too large)"
+    )
+
+
 @dataclass
 class StepResult:
     """Outcome of one solver step.
@@ -91,10 +100,7 @@ class SolverBase:
     @staticmethod
     def _check_finite(y: np.ndarray, t: float, name: str) -> None:
         if not np.all(np.isfinite(y)):
-            raise SolverError(
-                f"{name}: non-finite state at t={t:.6g} "
-                "(diverged or step too large)"
-            )
+            raise SolverError(non_finite(name, t))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

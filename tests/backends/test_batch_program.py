@@ -7,7 +7,7 @@
   fetched through the program cache under the NumPy key.
 * One run writes its records once: every chunk is a view of the run's
   one buffer, and merging an uninterrupted run's chunks copies nothing.
-* A diverging plant fails the same way on both batch backends: a
+* A diverging plant fails the same way on all five executors: a
   :class:`~repro.solvers.base.SolverError`, never ``inf`` records.
 """
 
@@ -267,21 +267,57 @@ def blowup(backend, tmp_path, **kwargs):
     return sim
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def blowup_program(backend, tmp_path):
+    program = compile_program(
+        CompileRequest(
+            diagram=square_diagram(), records=["x.out"], solver="rk4",
+            h=0.01, cache_dir=tmp_path,
+        ),
+        backend,
+    )
+    assert program.backend == backend
+    return program
+
+
+SCALAR_BACKENDS = [
+    "interpreter", "compiled-python",
+    pytest.param("native-c", marks=needs_cc),
+]
+
+DIVERGED = (
+    r"^rk4: non-finite state at t=[0-9.]+ \(diverged or step too large\)"
+)
+
+
 class TestDivergence:
     @pytest.fixture(autouse=True)
     def _quiet_overflow(self):
         with np.errstate(over="ignore", invalid="ignore"):
             yield
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_raises_the_solver_error(self, backend, tmp_path):
-        with pytest.raises(
-            SolverError,
-            match=r"^rk4: non-finite state at t=[0-9.]+ "
-            r"\(diverged or step too large\)",
-        ):
+        with pytest.raises(SolverError, match=DIVERGED):
             blowup(backend, tmp_path).run(1.5)
 
+    @pytest.mark.parametrize("backend", SCALAR_BACKENDS)
+    def test_scalar_run_raises_the_solver_error(self, backend, tmp_path):
+        with pytest.raises(SolverError, match=DIVERGED):
+            blowup_program(backend, tmp_path).run(1.5)
+
+    @pytest.mark.parametrize("backend", SCALAR_BACKENDS)
+    def test_scalar_step_raises_where_the_state_diverges(
+        self, backend, tmp_path,
+    ):
+        program = blowup_program(backend, tmp_path)
+        with pytest.raises(SolverError) as info:
+            for __ in range(150):
+                program.step()
+        assert str(info.value) == (
+            "rk4: non-finite state at t=1.03 (diverged or step too large)"
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_yields_no_records_of_the_failed_segment(
         self, backend, tmp_path,
     ):

@@ -6,6 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster.models import servo_farm
+from repro.core.backend import CompileRequest, compile_program
+from repro.core.backend.native import has_c_compiler
 from repro.core.batch import (
     BatchError, BatchSimulator, simulate_sequential,
 )
@@ -15,6 +18,9 @@ from repro.dataflow.dynamics import PID, FirstOrderLag
 from repro.dataflow.math_blocks import Sum
 from repro.dataflow.sources import Sine, Step
 
+needs_cc = pytest.mark.skipif(
+    not has_c_compiler(), reason="no C compiler on this host"
+)
 
 RECORDS = ["plant.out", "pid.out"]
 
@@ -205,3 +211,52 @@ class TestSampledBlocks:
         # the hold output is piecewise constant: few distinct values
         distinct = len(np.unique(np.round(batch.series["hold.out"][:, 0], 12)))
         assert distinct <= 8
+
+
+class TestSampledInterpreterParity:
+    """A sampled loop (``servo_farm``: a PID behind a zero-order hold)
+    gives the interpreter's records bitwise on the sequential reference
+    and on both batch backends: each sync evaluates its pads first."""
+
+    KPS = [7.0, 9.0]
+    RECORDS = ["adc.out", "servo.out"]
+    T_END = 1.0
+
+    @pytest.fixture(scope="class")
+    def interpreter(self):
+        runs = [
+            compile_program(CompileRequest(
+                diagram=servo_farm(kp=kp), records=self.RECORDS,
+                solver="rk4", h=1e-3,
+            ), "interpreter").run(self.T_END)
+            for kp in self.KPS
+        ]
+        return runs[0].t, {
+            label: np.stack([run.series[label] for run in runs], axis=1)
+            for label in self.RECORDS
+        }
+
+    @pytest.mark.parametrize("executor", [
+        "sequential", "batch", pytest.param("native-batch", marks=needs_cc),
+    ])
+    def test_bitwise_with_the_interpreter(
+        self, interpreter, executor, tmp_path,
+    ):
+        sweeps = {"pid.kp": self.KPS}
+        if executor == "sequential":
+            result = simulate_sequential(
+                servo_farm, 2, self.T_END, solver="rk4", h=1e-3,
+                records=self.RECORDS, sweeps=sweeps,
+            )
+        else:
+            sim = BatchSimulator(
+                servo_farm(), 2, solver="rk4", h=1e-3,
+                records=self.RECORDS, sweeps=sweeps, backend=executor,
+                native_cache_dir=tmp_path,
+            )
+            assert sim.backend_name == executor
+            result = sim.run(self.T_END)
+        times, series = interpreter
+        assert np.array_equal(result.t, times)
+        for label in self.RECORDS:
+            assert np.array_equal(result.series[label], series[label]), label

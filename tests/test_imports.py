@@ -35,10 +35,14 @@ PACKAGES = sorted(
     ]
 )
 
-#: the modules a cluster worker process must boot without
+#: the modules a cluster worker process must boot and run without
 WORKER_NEVER_IMPORTS = (
     "asyncio",
+    "http.client",
     "http.server",
+    "ssl",
+    "hashlib",
+    "_hashlib",
     "repro.cluster.http",
     "repro.cluster.client",
     "repro.cluster.pool",
@@ -46,6 +50,55 @@ WORKER_NEVER_IMPORTS = (
     "repro.analysis.schedulability",
     "repro.service.engine",
 )
+
+
+#: modules that load OpenSSL's ``libcrypto``; only the fallback in
+#: :mod:`repro._digest` may import one
+OPENSSL_MODULES = ("hashlib", "_hashlib", "ssl")
+
+#: one request of each ``cluster-wire`` kind through the worker's job
+#: path (a checkpointed native-batch ``servo_farm`` sweep, a checkpointed
+#: ``cruise`` single run, a NumPy ``pendulum`` sweep); prints the job
+#: states and the loaded modules
+WORKER_REQUESTS = """
+import json, sys, tempfile
+from repro.cluster import worker
+from repro.cluster.requests import ClusterJobRequest
+from repro.cluster.store import ArtifactStore
+from repro.service.cache import PlanCache
+
+class Outbox:
+    def send(self, message):
+        pass
+
+class CancelCell:
+    value = 0
+
+requests = [
+    ClusterJobRequest(kind="batch", model="servo_farm", checkpoint=True,
+        params={"n": 32, "t_end": 0.2, "records": ["servo.out"],
+                "sweeps": {"pid.kp": [6 + i / 8 for i in range(32)]},
+                "backend": "native-batch"}),
+    ClusterJobRequest(kind="single_run", model="cruise", checkpoint=True,
+        params={"t_end": 0.2, "sync_interval": 0.01,
+                "checkpoint_every_steps": 5}),
+    ClusterJobRequest(kind="batch", model="pendulum",
+        params={"n": 64, "t_end": 0.2, "records": ["pend.out"],
+                "sweeps": {"pid.kp": [30 + i / 8 for i in range(64)]}}),
+]
+with tempfile.TemporaryDirectory() as root:
+    store = ArtifactStore(root)
+    services = worker._WorkerServices(PlanCache(), 0)
+    states = [
+        worker._run_envelope(
+            0, worker.JobEnvelope(f"job-{i}", request, epoch=i + 1),
+            Outbox(), CancelCell(), store, services,
+        )
+        for i, request in enumerate(requests)
+    ]
+print(json.dumps([[state.value, error] for state, __, error in states]))
+print(json.dumps(list(sys.modules)))
+"""
 
 
 def fresh_python(code: str) -> str:
@@ -100,6 +153,32 @@ class TestWorkerBoot:
         assert loaded.isdisjoint(WORKER_NEVER_IMPORTS), sorted(
             loaded.intersection(WORKER_NEVER_IMPORTS)
         )
+
+    def test_worker_runs_every_kind_without_openssl(self):
+        states, loaded = map(
+            json.loads, fresh_python(WORKER_REQUESTS).splitlines(),
+        )
+        assert states == [["done", None]] * 3
+        assert set(loaded).isdisjoint(WORKER_NEVER_IMPORTS), sorted(
+            set(loaded).intersection(WORKER_NEVER_IMPORTS)
+        )
+
+    def test_only_the_digest_fallback_imports_openssl(self):
+        found = set()
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                found.update(
+                    (path.relative_to(SRC).as_posix(), name)
+                    for name in names
+                    if name.split(".")[0] in OPENSSL_MODULES
+                )
+        assert found == {("repro/_digest.py", "hashlib")}
 
     def test_bare_import_loads_no_subpackage(self):
         loaded = loaded_after("import repro")
