@@ -3,16 +3,19 @@
 The paper's workflow ends "until generation code".  This bench measures
 generation cost for both backends and proves the Python round trip: the
 generated module (no ``repro`` import) reproduces the library simulation
-of the same diagram to RK4 accuracy.
+of the same diagram exactly, on a continuous PID loop and on a sampled
+probe (zero-order hold and unit delay on a sample grid that is not a
+multiple of the step).
 """
 
-import math
-
-import pytest
+import numpy as np
 
 from benchmarks.conftest import pid_plant_diagram
 from repro.codegen import generate_c, generate_python
+from repro.core.backend import CompileRequest, compile_program
 from repro.core.model import HybridModel
+from repro.dataflow import FirstOrderLag, Sine, UnitDelay, ZeroOrderHold
+from repro.dataflow.diagram import Diagram
 
 
 def test_s3_python_generation_cost(benchmark):
@@ -64,11 +67,55 @@ def test_s3_round_trip_fidelity(benchmark, report, bench_json):
         f"generated Python         : {results['loc']} lines, "
         "stdlib-only",
     ])
-    assert diff < 1e-6
+    assert diff == 0.0
     bench_json("s3", {
         "round_trip_difference": diff,
         "generated_python_loc": results["loc"],
     })
+
+
+def sampled_probe(ts):
+    """Sine -> ZeroOrderHold(ts) -> UnitDelay(ts) -> FirstOrderLag."""
+    d = Diagram("probe")
+    d.add(Sine("src", amplitude=1.0))
+    d.add(ZeroOrderHold("zoh", ts=ts))
+    d.add(UnitDelay("delay", ts=ts))
+    d.add(FirstOrderLag("lag", tau=0.2))
+    d.connect("src.out", "zoh.in")
+    d.connect("zoh.out", "delay.in")
+    d.connect("delay.out", "lag.in")
+    return d
+
+
+def test_s3_sampled_round_trip(report, bench_json):
+    """The sampled probe at ts = 0.013, h = 0.01 for 10 s: the generated
+    module takes the simulation's samples, so every record matches."""
+    ts, h, t_end = 0.013, 0.01, 10.0
+    records = ["zoh.out", "delay.out", "lag.out"]
+    namespace = {}
+    exec(compile(
+        generate_python(sampled_probe(ts), records=records, default_h=h),
+        "<gen>", "exec",
+    ), namespace)
+    generated = namespace["simulate"](t_end)
+    reference = compile_program(CompileRequest(
+        diagram=sampled_probe(ts), records=records, solver="rk4", h=h,
+    ), "interpreter").run(t_end)
+
+    assert np.array_equal(generated["t"], reference.t)
+    diffs = {
+        label: float(np.max(np.abs(
+            np.asarray(generated[label]) - reference.series[label]
+        )))
+        for label in records
+    }
+    report("S3: generated-code round trip (sampled probe)", [
+        f"ts = {ts}, h = {h}, {t_end:g} s, {len(reference.t)} records",
+        *(f"max |difference| {label:<9}: {diff:.2e}"
+          for label, diff in diffs.items()),
+    ])
+    assert all(diff == 0.0 for diff in diffs.values()), diffs
+    bench_json("s3", {"sampled_round_trip_difference": max(diffs.values())})
 
 
 def test_s3_generated_code_speed(benchmark, report, bench_json):

@@ -5,15 +5,19 @@ design, simulation, until generation code".  This package closes the last
 step for the continuous (streamer) half of a model:
 
 * :mod:`repro.codegen.pygen` — a standalone Python module (no ``repro``
-  import) with an RK4 integration loop; round-trip tested against the
-  library simulation in bench S3;
+  import) with an RK4 integration loop: the ``compiled-python`` kernel
+  body plus ``simulate``; round-trip tested against the library
+  simulation in bench S3;
 * :mod:`repro.codegen.cgen` — equivalent C99 (single translation unit,
-  CSV output), validated structurally (the offline CI has no compiler);
+  CSV output): the native kernels' body plus ``main``;
 * :mod:`repro.codegen.common` — the shared lowering: flatten the diagram,
-  name signals/states, and emit per-block output/derivative expressions.
+  name signals/states, and emit per-block output/derivative expressions
+  and the one sampled-block sync form.
 
-Supported blocks: every continuous block of :mod:`repro.dataflow` plus
-ZOH/UnitDelay/DiscretePID sampled blocks.  Custom streamers raise
+Both generated programs print the interpreter's records bitwise (C when
+built with ``-ffp-contract=off``).  Supported blocks: every continuous
+block of :mod:`repro.dataflow` plus ZOH/UnitDelay sampled blocks.
+Custom streamers raise
 :class:`~repro.codegen.common.UnsupportedBlockError` — generate from
 library blocks or extend the emitter registry.
 """

@@ -1,57 +1,35 @@
-"""C99 code generation.
+"""C99 code generation: one body renderer for every C program.
 
-``generate_c(diagram)`` returns a single self-contained translation unit:
+:func:`kernel_functions` renders one instance's ``deriv``, ``outvals``,
+``sync`` and ``step`` over its state, parameter and held rows.  Every C
+program is those functions plus a driver:
 
-* ``static void outputs(double t, const double *x, double *sig)``
-* ``static void rhs(double t, const double *x, double *dx)``
-* ``static void sync_step(double t, const double *x)`` (sampled blocks)
-* ``int main(void)`` — an RK4 run printing the recorded columns as CSV
-  (``%.9g``), one row before every step and a final row at ``t_end``.
+* ``generate_c(diagram)`` — a standalone translation unit whose
+  ``int main(void)`` runs RK4 and prints the recorded columns as CSV
+  (``%.9g``), one row before every step and a final row at ``t_end``;
+* :func:`render_batch_kernel` — the N-instance shared object of the
+  ``native-batch`` backend;
+* :func:`repro.core.backend.native.render_c_kernel` — the scalar
+  ``native-c`` shared object.
 
-The module also renders the shared-object kernels of the native
-backends: :func:`kernel_functions` (one instance's deriv, outvals, sync
-and step over its state, parameter and held rows, shared by the scalar
-``native-c`` kernel and the N-instance batch kernel) and
-:func:`render_batch_kernel`.  Every C loop here and in
-:mod:`repro.core.backend.native` is rendered by
+Every C loop here and in :mod:`repro.core.backend.native` is rendered by
 :meth:`~repro.codegen.common.CLang.fixed_step_loop`, the fixed-step loop
-contract of :mod:`repro.core.loop`.  The C and Python backends share
-every expression through :mod:`repro.codegen.common`.
+contract of :mod:`repro.core.loop`, and every expression comes from the
+emitters of :mod:`repro.codegen.common`.  So a generated program prints
+the interpreter's records, sampled blocks included, when it is built as
+the native kernels are, with ``-ffp-contract=off``: gcc may otherwise
+fuse a multiply-add into an FMA on a target that has one, which changes
+results in the last ulp.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.codegen.common import (
-    C_LIBM_DECLARATIONS, CLang, LoweredModel, lower,
+    C_LIBM_DECLARATIONS, CLang, LoweredModel, kernel_tables, lower,
 )
 from repro.dataflow.diagram import Diagram
-
-
-def _signal_substituter(
-    signals: Sequence[str], signal_index: Dict[str, int]
-) -> Callable[[str], str]:
-    """A ``text -> text`` rewriter mapping whole signal identifiers to
-    their ``sig[i]`` slots.  Word-boundary anchored and single-pass, so
-    identifiers that embed (or are embedded in) a signal name are never
-    corrupted."""
-    if not signals:
-        return lambda text: text
-    pattern = re.compile(
-        r"\b(?:" + "|".join(
-            re.escape(name)
-            for name in sorted(signals, key=len, reverse=True)
-        ) + r")\b"
-    )
-
-    def fix(text: str) -> str:
-        return pattern.sub(
-            lambda m: f"sig[{signal_index[m.group(0)]}]", text
-        )
-
-    return fix
 
 
 def generate_c(
@@ -62,16 +40,70 @@ def generate_c(
     opt_level: int = 0,
     opt_config=None,
 ) -> str:
-    """Generate a standalone C99 simulation program for ``diagram``."""
+    """Generate a standalone C99 simulation program for ``diagram``:
+    the RK4 :func:`kernel_functions` of its plan and a ``main`` that
+    runs them through the fixed-step loop."""
+    lang = CLang()
     model = lower(
-        diagram, CLang(), records,
-        opt_level=opt_level, opt_config=opt_config,
+        diagram, lang, records, opt_level=opt_level, opt_config=opt_config,
     )
-    return _render(model, default_h, t_end)
+    tables = kernel_tables(model)
+
+    def listed(values) -> str:
+        return ", ".join(lang.literal(float(v)) for v in values) or "0.0"
+
+    n_rec = len(model.records)
+    header = ",".join(["t", *(label for label, __ in model.records)])
+    fmt = ",".join(["%.9g"] * (1 + n_rec))
+    args = ", ".join(["t", *(f"vals[{i}]" for i in range(n_rec))])
+    row = "x, P, held"
+    out: List[str] = [
+        "/* Auto-generated by repro.codegen.cgen -- do not edit.",
+        f" * Source diagram: {model.name}",
+        f" * States: {', '.join(model.state_names) or '(none)'}",
+        " */",
+        "#include <math.h>",
+        "#include <stdio.h>",
+        "",
+        *kernel_functions(tables, "rk4", "model_", static=True),
+        f"static const double initial_state[] = "
+        f"{{{listed(model.initial_state)}}};",
+        "",
+        "int main(void)",
+        "{",
+        "    /* every parameter is a literal of the source */",
+        "    const double* P = NULL;",
+        *(
+            f"    const double {name} = {lang.literal(value)};"
+            for name, value in tables["held"]
+        ),
+        "    double held[] = {"
+        f"{', '.join(name for name, __ in tables['held']) or '0.0'}}};",
+        "    double x[NXS], vals[RECN];",
+        "    int i;",
+        "    for (i = 0; i < NX; i++) x[i] = initial_state[i];",
+        f"    double t = 0.0, h = {default_h!r};",
+        f"    const double t_end = {t_end!r};",
+        "    const long record_every = 1;",
+        "    long step = 0;",
+        f'    printf("%s\\n", "{header}");',
+        *lang.fixed_step_loop(
+            sync=[f"model_sync(t, {row});"],
+            advance=[f"t = model_step(t, hh, {row});"],
+            record=[
+                f"model_outvals(t, {row}, vals);",
+                f'printf("{fmt}\\n", {args});',
+            ],
+            cold=None,
+        ),
+        "    return 0;",
+        "}",
+    ]
+    return "\n".join(out) + "\n"
 
 
 # ----------------------------------------------------------------------
-# the shared-object kernels (the native-c and native-batch backends)
+# the kernel functions every C program is built from
 # ----------------------------------------------------------------------
 #: solver stages of one kernel step over the state row ``x``; the
 #: arithmetic (order + grouping) replicates :mod:`repro.solvers.fixed`
@@ -111,12 +143,12 @@ def kernel_functions(
     ``sync`` and ``step`` (which returns ``t + hh``), plus the ``NX``,
     ``NXS``, ``NREC`` and ``RECN`` sizes they use.
 
-    ``tables`` are :func:`~repro.core.backend.pykernel.kernel_tables`.
+    ``tables`` are :func:`~repro.codegen.common.kernel_tables`.
     Signals are plain ``const double`` locals, declared in plan order
     (a valid declaration order: only non-feedthrough consumers sit
     before their producers, and those never read the signal in their
-    output expression).  ``static`` keeps the functions out of the
-    shared object's exports.
+    output expression).  ``static`` keeps the functions file-local: out
+    of a shared object's exports, or private to a standalone program.
     """
     if solver_name not in _STAGES:
         raise ValueError(
@@ -207,9 +239,8 @@ def render_batch_kernel(
 
     ``model`` must be lowered with
     :class:`~repro.codegen.common.CBatchLang`: swept parameters stay
-    ``P[j]`` symbols and sampled blocks carry the statement-level sync
-    replicas, so one instance's arithmetic is exactly the scalar native
-    kernel's — bitwise vs ``simulate_sequential``.
+    ``P[j]`` symbols, so one instance's arithmetic is exactly the scalar
+    native kernel's — bitwise vs ``simulate_sequential``.
 
     The batch-size ``n`` is a *runtime* argument of ``batch_run``;
     nothing per-N is baked into the source, so one artifact serves any
@@ -218,8 +249,6 @@ def render_batch_kernel(
     ``rec[i * label_stride + k * rec_stride + r]``, so each label's rows
     form one C-contiguous ``(records, n)`` block.
     """
-    from repro.core.backend.pykernel import kernel_tables
-
     tables = kernel_tables(model)
     n_held = len(tables["held"])
     out: List[str] = [
@@ -282,124 +311,5 @@ def render_batch_kernel(
     out.append("    *step_out = step;")
     out.append("    *done_out = 1;")
     out.append("    return nrec;")
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def _render(model: LoweredModel, default_h: float, t_end: float) -> str:
-    lang = CLang()
-    n_states = len(model.initial_state)
-    held_decls: List[str] = []
-    for node in model.plan.nodes:
-        for name, value in model.code[node.index].held_vars:
-            held_decls.append(
-                f"static double {name} = {lang.literal(float(value))};"
-            )
-
-    signals = sorted({
-        line.split(" = ")[0]
-        for node in model.plan.nodes
-        for line in model.code[node.index].output_lines
-    })
-    signal_index = {name: i for i, name in enumerate(signals)}
-
-    # one pass, whole identifiers only: sequential str.replace corrupts
-    # any identifier that merely *embeds* a signal name (e.g. a held
-    # register h_xv_a_held containing the signal v_a_held); \b anchors
-    # make a match start/end at identifier boundaries, and the single
-    # pass means replacements never rescan each other's output
-    fix = _signal_substituter(signals, signal_index)
-
-    out: List[str] = []
-    out.append("/* Auto-generated by repro.codegen.cgen -- do not edit.")
-    out.append(f" * Source diagram: {model.name}")
-    out.append(f" * States: {', '.join(model.state_names) or '(none)'}")
-    out.append(" */")
-    out.append("#include <math.h>")
-    out.append("#include <stdio.h>")
-    out.append("")
-    out.append(f"#define N_STATES {n_states}")
-    out.append(f"#define N_SIGNALS {len(signals)}")
-    out.append("")
-    init = ", ".join(
-        lang.literal(float(v)) for v in model.initial_state
-    ) or "0.0"
-    out.append(f"static const double initial_state[] = {{{init}}};")
-    out.extend(held_decls)
-    out.append("")
-    out.append("static void outputs(double t, const double *x, double *sig)")
-    out.append("{")
-    out.append("    (void)t; (void)x;")
-    for node in model.plan.nodes:
-        for line in model.code[node.index].output_lines:
-            var, __, expr = line.partition(" = ")
-            out.append(f"    sig[{signal_index[var]}] = {fix(expr)};")
-    out.append("}")
-    out.append("")
-    out.append("static void rhs(double t, const double *x, double *dx)")
-    out.append("{")
-    out.append("    double sig[N_SIGNALS > 0 ? N_SIGNALS : 1];")
-    out.append("    outputs(t, x, sig);")
-    out.append("    (void)sig;")
-    deriv_index = 0
-    for node in model.plan.nodes:
-        for expr in model.code[node.index].deriv_exprs:
-            out.append(f"    dx[{deriv_index}] = {fix(expr)};")
-            deriv_index += 1
-    out.append("}")
-    out.append("")
-    out.append("static void sync_step(double t, const double *x)")
-    out.append("{")
-    out.append("    double sig[N_SIGNALS > 0 ? N_SIGNALS : 1];")
-    out.append("    outputs(t, x, sig);")
-    out.append("    (void)sig; (void)t; (void)x;")
-    for node in model.plan.nodes:
-        for line in model.code[node.index].sync_lines:
-            var, __, expr = line.partition(" = ")
-            out.append(f"    {var} = {fix(expr)};")
-    out.append("}")
-    out.append("")
-    out.append("int main(void)")
-    out.append("{")
-    out.append("    double x[N_STATES > 0 ? N_STATES : 1];")
-    out.append("    double k1[N_STATES > 0 ? N_STATES : 1];")
-    out.append("    double k2[N_STATES > 0 ? N_STATES : 1];")
-    out.append("    double k3[N_STATES > 0 ? N_STATES : 1];")
-    out.append("    double k4[N_STATES > 0 ? N_STATES : 1];")
-    out.append("    double xt[N_STATES > 0 ? N_STATES : 1];")
-    out.append("    double sig[N_SIGNALS > 0 ? N_SIGNALS : 1];")
-    out.append("    int i;")
-    out.append("    for (i = 0; i < N_STATES; i++) x[i] = initial_state[i];")
-    out.append(f"    double t = 0.0, h = {default_h!r};")
-    out.append(f"    const double t_end = {t_end!r};")
-    out.append("    const long record_every = 1;")
-    out.append("    long step = 0;")
-    header = ",".join(["t"] + [label for label, __ in model.records])
-    out.append(f'    printf("%s\\n", "{header}");')
-    fmt = ",".join(["%.9g"] * (1 + len(model.records)))
-    args = ", ".join(
-        ["t"] + [f"sig[{signal_index[signal]}]"
-                 for __, signal in model.records]
-    )
-    each = "for (i = 0; i < N_STATES; i++)"
-    out.extend(lang.fixed_step_loop(
-        sync=["sync_step(t, x);"],
-        advance=[
-            "rhs(t, x, k1);",
-            f"{each} xt[i] = x[i] + hh / 2.0 * k1[i];",
-            "rhs(t + hh / 2.0, xt, k2);",
-            f"{each} xt[i] = x[i] + hh / 2.0 * k2[i];",
-            "rhs(t + hh / 2.0, xt, k3);",
-            f"{each} xt[i] = x[i] + hh * k3[i];",
-            "rhs(t + hh, xt, k4);",
-            each,
-            "    x[i] += hh / 6.0 * "
-            "(k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);",
-            "t += hh;",
-        ],
-        record=["outputs(t, x, sig);", f'printf("{fmt}\\n", {args});'],
-        cold=None,
-    ))
-    out.append("    return 0;")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -11,7 +11,8 @@ one emitter serves the Python, C and vectorised-NumPy backends.  Every
 block type of :mod:`repro.dataflow` that can be expressed without dynamic
 containers is supported; anything else raises
 :class:`UnsupportedBlockError` naming the block, which is the documented
-extension point.
+extension point.  :func:`kernel_tables` flattens a lowered model into
+the rows every body renderer reads.
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ from repro.core.network import FlatNetwork
 from repro.core.plan import ExecutionPlan
 from repro.core.streamer import Streamer
 from repro.dataflow.diagram import Diagram
+
+
+#: bumped whenever the kernel renderers change shape; part of a
+#: compiled program's snapshot identity and of the batch checkpoint key
+#: (on-disk native artifacts are keyed by the rendered source itself, so
+#: they need no version).  2: every target renders the one sampled-sync
+#: form, so the NumPy batch program samples as the interpreter does
+KERNEL_VERSION = 2
 
 
 class CodegenError(Exception):
@@ -209,9 +218,8 @@ class CLang(Lang):
 class CBatchLang(CLang):
     """The C dialect of the batch backend's swept-parameter contract.
 
-    Identical to :class:`CLang` (``name`` stays ``"c"`` so sampled
-    blocks keep their statement-level sync replicas) except that ``num``
-    preserves *symbolic* parameters exactly like :class:`NumpyLang`:
+    Identical to :class:`CLang` except that ``num`` preserves
+    *symbolic* parameters exactly like :class:`NumpyLang`:
     a :class:`~repro.core.batch.SweepVar` lowers to its ``P[j]`` symbol,
     which the batch kernel resolves against the per-instance parameter
     row instead of a folded literal.
@@ -311,12 +319,9 @@ class BlockCode:
     deriv_exprs: List[str] = field(default_factory=list)
     #: held-variable names and initial values (sampled blocks)
     held_vars: List[Tuple[str, float]] = field(default_factory=list)
-    #: statements run once per major step, after integration
-    sync_lines: List[str] = field(default_factory=list)
-    #: statement-level sync replica ``(indent, line)`` rows reproducing
-    #: the live block's ``on_sync`` arithmetic exactly (scalar kernel
-    #: backends); empty for the vectorised target, which keeps the
-    #: branch-free expression form in :attr:`sync_lines`
+    #: ``(indent, line)`` statements run at every sync, after
+    #: integration: the replica of the live block's ``on_sync``
+    #: arithmetic in every target (:func:`_sampled_sync_stmts`)
     sync_stmts: List[Tuple[int, str]] = field(default_factory=list)
     #: held-variable name -> live-block attribute carrying the same
     #: register (lets a kernel refresh its held copies from the
@@ -703,38 +708,43 @@ def _emit_ss(block, ctx):
 # ----------------------------------------------------------------------
 # emitters: sampled blocks (held state + sync updates)
 # ----------------------------------------------------------------------
-def _next_sample_expr(lang: Lang, ts: str) -> str:
-    # round t to the nearest grid index before advancing, so a time a few
-    # ulps below a grid point does not cause a double sample
-    ratio = f"t / {ts} + 0.5"
-    return f"({lang.floor(ratio)} + 1.0) * {ts}"
-
-
 def _sampled_sync_stmts(
-    lang: Lang, nxt: str, ts: str, eps: str, body: List[str]
+    lang: Lang, nxt: str, ts: str, eps: str, body: List[Tuple[str, str]]
 ) -> List[Tuple[int, str]]:
     """Statement replica of :meth:`SampledBlock.on_sync` for one block.
 
-    ``body`` holds the sample assignments; the clock walk
-    (``while nxt <= t + eps: nxt += ts``) is appended.  Only the scalar
-    python/c targets get a replica — the vectorised target keeps the
-    branch-free :attr:`BlockCode.sync_lines` form.
+    ``body`` holds the sample's ``(register, value)`` assignments; the
+    clock walk (``while nxt <= t + eps: nxt += ts``) follows them.  The
+    NumPy target walks every instance under a mask: ``due`` rows take
+    the sample, and each row advances its clock exactly as often, and
+    with the same additions, as the scalar walk would.
     """
     if lang.name == "python":
         stmts: List[Tuple[int, str]] = [(0, f"if t + {eps} >= {nxt}:")]
-        stmts.extend((1, line) for line in body)
+        stmts.extend((1, f"{var} = {value}") for var, value in body)
         stmts.append((1, f"while {nxt} <= t + {eps}:"))
         stmts.append((2, f"{nxt} = {nxt} + {ts}"))
         return stmts
     if lang.name == "c":
         stmts = [(0, f"if (t + {eps} >= {nxt}) {{")]
-        stmts.extend((1, f"{line};") for line in body)
+        stmts.extend((1, f"{var} = {value};") for var, value in body)
         stmts.append((1, f"while ({nxt} <= t + {eps}) {{"))
         stmts.append((2, f"{nxt} = {nxt} + {ts};"))
         stmts.append((1, "}"))
         stmts.append((0, "}"))
         return stmts
-    return []
+    if lang.name == "numpy":
+        stmts = [(0, f"due = t + {eps} >= {nxt}")]
+        stmts.extend(
+            (0, f"{var} = np.where(due, {value}, {var})")
+            for var, value in body
+        )
+        stmts.append((0, "walk = due"))
+        stmts.append((0, "while walk.any():"))
+        stmts.append((1, f"{nxt} = np.where(walk, {nxt} + {ts}, {nxt})"))
+        stmts.append((1, f"walk = {nxt} <= t + {eps}"))
+        return stmts
+    raise CodegenError(f"no sampled-block sync for target {lang.name!r}")
 
 
 @register_emitter("ZeroOrderHold")
@@ -745,19 +755,11 @@ def _emit_zoh(block, ctx):
     held = ctx.held(block)
     nxt = ctx.held(block, "next")
     ts = lang.num(block.params["ts"])
-    cond = f"t + 1e-12 >= {nxt}"
-    advance = _next_sample_expr(lang, ts)
     eps = lang.num(1e-9 * float(block.params["ts"]))
     return BlockCode(
         output_lines=[f"{out} = {held}"],
         held_vars=[(held, 0.0), (nxt, 0.0)],
-        sync_lines=[
-            f"{held} = {lang.if_expr(cond, u, held)}",
-            f"{nxt} = {lang.if_expr(cond, advance, nxt)}",
-        ],
-        sync_stmts=_sampled_sync_stmts(
-            lang, nxt, ts, eps, [f"{held} = {u}"]
-        ),
+        sync_stmts=_sampled_sync_stmts(lang, nxt, ts, eps, [(held, u)]),
         held_attrs=[(held, "_held"), (nxt, "_next_sample")],
     )
 
@@ -771,20 +773,12 @@ def _emit_unit_delay(block, ctx):
     store = ctx.held(block, "store")
     nxt = ctx.held(block, "next")
     ts = lang.num(block.params["ts"])
-    cond = f"t + 1e-12 >= {nxt}"
-    advance = _next_sample_expr(lang, ts)
     eps = lang.num(1e-9 * float(block.params["ts"]))
     return BlockCode(
         output_lines=[f"{out} = {held}"],
         held_vars=[(held, 0.0), (store, block._store), (nxt, 0.0)],
-        sync_lines=[
-            f"{held} = {lang.if_expr(cond, store, held)}",
-            f"{store} = {lang.if_expr(cond, u, store)}",
-            f"{nxt} = {lang.if_expr(cond, advance, nxt)}",
-        ],
         sync_stmts=_sampled_sync_stmts(
-            lang, nxt, ts, eps,
-            [f"{held} = {store}", f"{store} = {u}"],
+            lang, nxt, ts, eps, [(held, store), (store, u)],
         ),
         held_attrs=[
             (held, "_held"), (store, "_store"), (nxt, "_next_sample"),
@@ -971,3 +965,38 @@ def lower_plan(
         code=code,
         records=record_pairs,
     )
+
+
+def kernel_tables(model: LoweredModel) -> Dict[str, Any]:
+    """Flatten the per-node :class:`BlockCode` rows into kernel tables.
+
+    Shared by every body renderer (Python, C and NumPy): output lines in
+    plan order, ``(state_index, expr)`` derivative rows (indexed by the
+    node's state slice, so optimizer-removed stateful nodes leave their
+    slots at the interpreter's 0.0), held registers and sync statements.
+    """
+    output_lines: List[str] = []
+    derivs: List[Tuple[int, str]] = []
+    held: List[Tuple[str, float]] = []
+    held_attrs: List[Tuple[str, Any, str]] = []  # (name, leaf, attr)
+    sync_rows: List[Tuple[int, str]] = []
+    for node in model.plan.nodes:
+        block_code = model.code[node.index]
+        output_lines.extend(block_code.output_lines)
+        for i, expr in enumerate(block_code.deriv_exprs):
+            derivs.append((node.lo + i, expr))
+        held.extend(
+            (name, float(value)) for name, value in block_code.held_vars
+        )
+        for name, attr in block_code.held_attrs:
+            held_attrs.append((name, node.leaf, attr))
+        sync_rows.extend(block_code.sync_stmts)
+    return {
+        "output_lines": output_lines,
+        "derivs": derivs,
+        "held": held,
+        "held_attrs": held_attrs,
+        "sync_rows": sync_rows,
+        "record_exprs": [signal for __, signal in model.records],
+        "n_states": len(model.initial_state),
+    }

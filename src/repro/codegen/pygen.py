@@ -1,27 +1,112 @@
-"""Python code generation.
+"""Python code generation: one body renderer for every Python program.
 
-``generate_python(diagram)`` returns the source of a standalone module
-(stdlib-only: ``math``) exposing::
+:func:`render_python_kernel` renders a lowered plan as one flat module —
+signal locals, the derivative vector, the statement replica of
+``SampledBlock.on_sync`` and a solver-specialised step — behind a
+``_build(held)`` factory.  The ``compiled-python`` backend
+(:mod:`repro.core.backend.pykernel`) ``exec``s it in process.
+
+``generate_python(diagram)`` returns that module, rendered for RK4, plus
+a ``simulate`` loop; the result is a standalone module (stdlib-only:
+``math``) exposing::
 
     simulate(t_end, h=..., record_every=1) -> dict
         {"t": [...], "<block.port>": [...], ...}
 
-The generated integrator is classic RK4 over the flattened network, with
-sampled-block held variables updated once per step — mirroring the
-library's streamer-thread semantics closely enough that bench S3's
-round-trip comparison passes at RK4 accuracy.  Because the module must
-not import :mod:`repro`, its loop is the one self-contained copy of the
-fixed-step loop contract (:mod:`repro.core.loop`), rendered with the
-contract's epsilon.
+Because the module must not import :mod:`repro`, ``simulate`` is a
+self-contained copy of the fixed-step loop contract
+(:mod:`repro.core.loop`), rendered with the contract's epsilon.  Its
+records are the ``compiled-python`` backend's, and so the interpreter's,
+bitwise, sampled blocks included.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.codegen.common import LoweredModel, PyLang, lower
+from repro.codegen.common import LoweredModel, PyLang, kernel_tables, lower
 from repro.core import loop
 from repro.dataflow.diagram import Diagram
+
+#: solver-stage statements for the generated ``one_step``; each replays
+#: the matching :mod:`repro.solvers.fixed` method element-wise with the
+#: same operation order and grouping, so results are bitwise identical
+_STAGES: Dict[str, Tuple[str, ...]] = {
+    "euler": (
+        "k1 = deriv(t, x, held)",
+        "x = [xi + hh * ki for xi, ki in zip(x, k1)]",
+    ),
+    "heun": (
+        "k1 = deriv(t, x, held)",
+        "k2 = deriv(t + hh, [xi + hh * ki for xi, ki in zip(x, k1)], held)",
+        "x = [xi + (hh / 2.0) * (a + b) for xi, a, b in zip(x, k1, k2)]",
+    ),
+    "rk4": (
+        "k1 = deriv(t, x, held)",
+        "k2 = deriv(t + hh / 2.0,"
+        " [xi + (hh / 2.0) * ki for xi, ki in zip(x, k1)], held)",
+        "k3 = deriv(t + hh / 2.0,"
+        " [xi + (hh / 2.0) * ki for xi, ki in zip(x, k2)], held)",
+        "k4 = deriv(t + hh, [xi + hh * ki for xi, ki in zip(x, k3)], held)",
+        "x = [xi + (hh / 6.0) * (a + 2.0 * b + 2.0 * c + d)"
+        " for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]",
+    ),
+}
+
+
+def render_python_kernel(model: LoweredModel, solver_name: str) -> str:
+    """The kernel module source for ``model``: a ``_build(held)``
+    factory whose ``outvals``, ``sync`` and ``one_step`` close over the
+    held-register list and have the signatures
+    :func:`repro.core.loop.run` calls."""
+    tables = kernel_tables(model)
+    held_names = [name for name, __ in tables["held"]]
+    w: List[str] = [
+        '"""Auto-generated by repro.codegen.pygen -- do not edit."""',
+        "import math",
+        "",
+        "",
+        "def _build(held):",
+    ]
+
+    def emit_signals(indent: str) -> None:
+        for i, name in enumerate(held_names):
+            w.append(f"{indent}{name} = held[{i}]")
+        for line in tables["output_lines"]:
+            w.append(f"{indent}{line}")
+
+    w.append("    def deriv(t, x, held):")
+    emit_signals("        ")
+    w.append(f"        d = [0.0] * {tables['n_states']}")
+    for index, expr in tables["derivs"]:
+        w.append(f"        d[{index}] = {expr}")
+    w.append("        return d")
+    w.append("")
+
+    w.append("    def outvals(t, x):")
+    emit_signals("        ")
+    row = ", ".join(tables["record_exprs"])
+    w.append(f"        return ({row}{',' if row else ''})")
+    w.append("")
+
+    w.append("    def sync(t, x):")
+    if tables["sync_rows"]:
+        emit_signals("        ")
+        for indent, line in tables["sync_rows"]:
+            w.append(f"        {'    ' * indent}{line}")
+        for i, name in enumerate(held_names):
+            w.append(f"        held[{i}] = {name}")
+    else:
+        w.append("        pass")
+    w.append("")
+
+    w.append("    def one_step(t, x, hh):")
+    for line in _STAGES[solver_name]:
+        w.append(f"        {line}")
+    w.append("        return t + hh, x")
+    w.append("")
+    w.append("    return deriv, outvals, sync, one_step")
+    return "\n".join(w) + "\n"
 
 
 def generate_python(
@@ -31,156 +116,54 @@ def generate_python(
     opt_level: int = 0,
     opt_config=None,
 ) -> str:
-    """Generate a standalone Python simulation module for ``diagram``."""
-    model = lower(
-        diagram, PyLang(), records,
-        opt_level=opt_level, opt_config=opt_config,
-    )
-    return _render(model, default_h)
-
-
-def _render(model: LoweredModel, default_h: float) -> str:
+    """Generate a standalone Python simulation module for ``diagram``:
+    the RK4 kernel of :func:`render_python_kernel` and its ``simulate``
+    loop."""
     lang = PyLang()
-    output_lines: List[str] = []
-    deriv_lines: List[str] = []
-    held_inits: List[str] = []
-    held_names: List[str] = []
-    sync_lines: List[str] = []
-    deriv_index = 0
-    for node in model.plan.nodes:
-        block_code = model.code[node.index]
-        output_lines.extend(block_code.output_lines)
-        for name, value in block_code.held_vars:
-            held_inits.append(f"{name} = {lang.literal(float(value))}")
-            held_names.append(name)
-        sync_lines.extend(block_code.sync_lines)
-        for expr in block_code.deriv_exprs:
-            deriv_lines.append(f"dx[{deriv_index}] = {expr}")
-            deriv_index += 1
+    model = lower(
+        diagram, lang, records, opt_level=opt_level, opt_config=opt_config,
+    )
 
-    signals = sorted({line.split(" = ")[0] for line in output_lines})
-    sig_dict = ", ".join(f"{s!r}: {s}" for s in signals)
-    unpack = [f"{s} = sig[{s!r}]" for s in signals]
+    def listed(values) -> str:
+        return ", ".join(lang.literal(float(v)) for v in values)
 
-    w = _Writer()
-    w.line('"""Auto-generated by repro.codegen.pygen -- do not edit.')
-    w.line("")
-    w.line(f"Source diagram: {model.name}")
-    w.line(f"States: {model.state_names}")
-    w.line('"""')
-    w.line("")
-    w.line("import math")
-    w.line("")
-    w.line("")
-    initial = ", ".join(lang.literal(float(v)) for v in model.initial_state)
-    w.line(f"INITIAL_STATE = [{initial}]")
-    w.line(f"STATE_NAMES = {model.state_names!r}")
-    w.line("")
-    w.line("")
-    w.line(f"def simulate(t_end, h={default_h!r}, record_every=1):")
-    with w.indent():
-        w.line('"""Integrate the diagram with RK4; returns recorded series."""')
-        w.line("x = list(INITIAL_STATE)")
-        w.line("t = 0.0")
-        keys = ['"t": []'] + [f"{label!r}: []" for label, __ in model.records]
-        w.line(f"out = {{{', '.join(keys)}}}")
-        for init in held_inits:
-            w.line(init)
-        w.line("")
-        w.line("def outputs(t, x):")
-        with w.indent():
-            w.line("# topological evaluation of all block outputs")
-            for line in output_lines:
-                w.line(line)
-            w.line(f"return {{{sig_dict}}}")
-        w.line("")
-        w.line("def rhs(t, x):")
-        with w.indent():
-            w.line("sig = outputs(t, x)")
-            for line in unpack:
-                w.line(line)
-            w.line(f"dx = [0.0] * {len(model.initial_state)}")
-            for line in deriv_lines:
-                w.line(line)
-            w.line("return dx")
-        w.line("")
-        w.line("def sync(t, x):")
-        with w.indent():
-            if held_names:
-                w.line(f"nonlocal {', '.join(held_names)}")
-            if sync_lines:
-                w.line("sig = outputs(t, x)")
-                for line in unpack:
-                    w.line(line)
-                for line in sync_lines:
-                    w.line(line)
-            if not held_names and not sync_lines:
-                w.line("pass")
-        w.line("")
-        w.line("step = 0")
-        w.line("sync(t, x)")
-        w.line(f"while t < t_end - {loop.EPS!r}:")
-        with w.indent():
-            w.line("hh = min(h, t_end - t)")
-            w.line("sig = outputs(t, x)")
-            w.line("if step % record_every == 0:")
-            with w.indent():
-                w.line('out["t"].append(t)')
-                for label, signal in model.records:
-                    w.line(f"out[{label!r}].append(sig[{signal!r}])")
-            w.line("# RK4 step")
-            w.line("k1 = rhs(t, x)")
-            w.line("k2 = rhs(t + hh / 2.0, "
-                   "[xi + hh / 2.0 * ki for xi, ki in zip(x, k1)])")
-            w.line("k3 = rhs(t + hh / 2.0, "
-                   "[xi + hh / 2.0 * ki for xi, ki in zip(x, k2)])")
-            w.line("k4 = rhs(t + hh, "
-                   "[xi + hh * ki for xi, ki in zip(x, k3)])")
-            w.line("x = [xi + hh / 6.0 * (a + 2.0 * b + 2.0 * c + d)")
-            w.line("     for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]")
-            w.line("t += hh")
-            w.line("step += 1")
-            w.line("sync(t, x)")
-        w.line("sig = outputs(t, x)")
-        w.line('out["t"].append(t)')
-        for label, signal in model.records:
-            w.line(f"out[{label!r}].append(sig[{signal!r}])")
-        w.line("return out")
-    w.line("")
-    w.line("")
-    w.line('if __name__ == "__main__":')
-    with w.indent():
-        w.line("result = simulate(1.0)")
-        w.line('print("t_final =", result["t"][-1])')
-    return w.render()
-
-
-class _Writer:
-    """Tiny indentation-aware line writer."""
-
-    def __init__(self) -> None:
-        self._lines: List[str] = []
-        self._level = 0
-
-    def line(self, text: str) -> None:
-        if text:
-            self._lines.append("    " * self._level + text)
-        else:
-            self._lines.append("")
-
-    def indent(self) -> "_WriterIndent":
-        return _WriterIndent(self)
-
-    def render(self) -> str:
-        return "\n".join(self._lines) + "\n"
-
-
-class _WriterIndent:
-    def __init__(self, writer: _Writer) -> None:
-        self._writer = writer
-
-    def __enter__(self) -> None:
-        self._writer._level += 1
-
-    def __exit__(self, *exc) -> None:
-        self._writer._level -= 1
+    held = [value for __, value in kernel_tables(model)["held"]]
+    labels = ["t", *(label for label, __ in model.records)]
+    return render_python_kernel(model, "rk4") + "\n".join([
+        "",
+        "",
+        f"# Source diagram: {model.name}",
+        f"INITIAL_STATE = [{listed(model.initial_state)}]",
+        f"INITIAL_HELD = [{listed(held)}]",
+        f"STATE_NAMES = {model.state_names!r}",
+        f"LABELS = {labels!r}",
+        "",
+        "",
+        f"def simulate(t_end, h={default_h!r}, record_every=1):",
+        '    """Integrate the diagram with RK4; returns recorded series."""',
+        "    __, outvals, sync, one_step = _build(list(INITIAL_HELD))",
+        "    out = {label: [] for label in LABELS}",
+        "    columns = [out[label] for label in LABELS]",
+        "",
+        "    def record(t, x):",
+        "        for column, value in zip(columns, (t, *outvals(t, x))):",
+        "            column.append(value)",
+        "",
+        "    t, x, step = 0.0, list(INITIAL_STATE), 0",
+        "    sync(t, x)",
+        f"    while t < t_end - {loop.EPS!r}:",
+        "        hh = min(h, t_end - t)",
+        "        if step % record_every == 0:",
+        "            record(t, x)",
+        "        t, x = one_step(t, x, hh)",
+        "        step += 1",
+        "        sync(t, x)",
+        "    record(t, x)",
+        "    return out",
+        "",
+        "",
+        'if __name__ == "__main__":',
+        "    result = simulate(1.0)",
+        '    print("t_final =", result["t"][-1])',
+        "",
+    ])

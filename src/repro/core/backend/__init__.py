@@ -7,6 +7,7 @@ the fallback-ladder resolver :func:`compile_program` and the background
 build starter :func:`prefetch`.
 """
 
+from repro.codegen.common import KERNEL_VERSION
 from repro.core.backend.base import (
     BackendError,
     BackendProgram,
@@ -15,7 +16,6 @@ from repro.core.backend.base import (
     ExecutionBackend,
     FALLBACKS,
     KERNEL_SOLVERS,
-    KERNEL_VERSION,
     ProgramResult,
     available_backends,
     compile_program,

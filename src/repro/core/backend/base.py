@@ -74,11 +74,6 @@ class BackendUnavailable(BackendError):
     treats it as a demotion signal, not a failure."""
 
 
-#: bumped whenever the kernel renderers change shape; part of a
-#: compiled program's snapshot identity (on-disk native artifacts are
-#: keyed by the rendered source itself, so they need no version)
-KERNEL_VERSION = 1
-
 #: scalar kernels inline the fixed-step solver loop; anything else
 #: (adaptive, implicit) demotes to the interpreter
 KERNEL_SOLVERS = ("euler", "heun", "rk4")

@@ -8,12 +8,8 @@ surface.  The cursor semantics reuse the simulator's own
 the contract the resilience layer already tests.  A run's series are
 views of the simulator's one record buffer for that run, not copies.
 ``rhs`` is the NumPy program's on both batch adapters; a native-batch
-simulator builds that program on the first call.
-
-The batch backend keeps the *expression-form* sampled-block sync (one
-``np.where`` per register), so it makes no bitwise claim for sampled
-blocks against the interpreter; continuous-only diagrams are bitwise
-(the established batch-vs-sequential contract).
+simulator builds that program on the first call.  Each instance's
+records equal the interpreter's bitwise, sampled blocks included.
 """
 
 from __future__ import annotations
@@ -23,6 +19,7 @@ from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
+from repro.codegen.common import KERNEL_VERSION
 from repro.core.backend.base import (
     BackendError, BackendProgram, BackendUnavailable, CompileRequest,
     ExecutionBackend, ProgramResult, register_backend,
@@ -67,6 +64,7 @@ class BatchProgramAdapter(BackendProgram):
             "backend": self.backend,
             "n": self._sim.n,
             "solver": self._sim.binding.strategy_name,
+            "kernel": KERNEL_VERSION,
         })
 
     # ------------------------------------------------------------------

@@ -66,14 +66,15 @@ import numpy as np
 from repro._digest import sha256
 from repro._lockfile import ElectionTimeout, elect, release
 from repro.codegen.cgen import kernel_functions
-from repro.codegen.common import C_LIBM_DECLARATIONS, CLang, CParamLang
+from repro.codegen.common import (
+    C_LIBM_DECLARATIONS, KERNEL_VERSION, CLang, CParamLang, kernel_tables,
+)
 from repro.core import loop
 from repro.core.backend.base import (
     BackendError, BackendProgram, BackendUnavailable, CompileRequest,
-    ExecutionBackend, KERNEL_VERSION, ProgramResult, kernel_solver_name,
-    lower_request, register_backend,
+    ExecutionBackend, ProgramResult, kernel_solver_name, lower_request,
+    register_backend,
 )
-from repro.core.backend.pykernel import kernel_tables
 
 #: flags shared by every artifact build; ``-ffp-contract=off`` is load-
 #: bearing for bitwise parity (no FMA), ``-shared -fPIC`` for dlopen, and

@@ -159,7 +159,7 @@ class NativeBatchKernel:
         if not has_c_compiler():
             raise BackendUnavailable(NO_COMPILER)
         source = batch_kernel_source(program, solver_name)
-        from repro.core.backend.pykernel import kernel_tables
+        from repro.codegen.common import kernel_tables
 
         n_params = len(program.sweep_paths)
         tables = kernel_tables(program.model)

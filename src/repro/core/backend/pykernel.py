@@ -1,11 +1,13 @@
-"""The ``compiled-python`` backend: pygen promoted to an in-process kernel.
+"""The ``compiled-python`` backend: the Python kernel run in process.
 
-Renders one flat Python module from the lowered plan — signal locals,
-derivative vector, statement-level sync replicas and a solver-specialised
-step — and ``exec``s it, so a step is one code object instead of a
-per-block interpreter dispatch; :func:`repro.core.loop.run` drives those
-bodies through the fixed-step loop contract.  Works on any host (no
-toolchain) and is bitwise identical to the ``interpreter`` backend:
+Renders the lowered plan with :func:`repro.codegen.pygen.
+render_python_kernel` — the body renderer ``generate_python`` uses too:
+signal locals, derivative vector, statement-level sync replicas and a
+solver-specialised step — and ``exec``s it, so a step is one code object
+instead of a per-block interpreter dispatch; :func:`repro.core.loop.run`
+drives those bodies through the fixed-step loop contract.  Works on any
+host (no toolchain) and is bitwise identical to the ``interpreter``
+backend:
 
 * signal/derivative expressions come from the same emitters, applying
   the same IEEE-754 double operations the blocks apply;
@@ -24,138 +26,17 @@ check_finite`), as the interpreter does.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.codegen.common import PyLang, UnsupportedBlockError
+from repro.codegen.common import KERNEL_VERSION, PyLang, kernel_tables
+from repro.codegen.pygen import render_python_kernel
 from repro.core import loop
 from repro.core.backend.base import (
-    BackendProgram, CompileRequest, ExecutionBackend, KERNEL_VERSION,
-    ProgramResult, kernel_solver_name, lower_request, register_backend,
+    BackendProgram, CompileRequest, ExecutionBackend, ProgramResult,
+    kernel_solver_name, lower_request, register_backend,
 )
-
-#: solver-stage statements for the generated ``one_step``; each replays
-#: the matching :mod:`repro.solvers.fixed` method element-wise with the
-#: same operation order and grouping, so results are bitwise identical
-_STAGES: Dict[str, Tuple[str, ...]] = {
-    "euler": (
-        "k1 = deriv(t, x, held)",
-        "x = [xi + hh * ki for xi, ki in zip(x, k1)]",
-    ),
-    "heun": (
-        "k1 = deriv(t, x, held)",
-        "k2 = deriv(t + hh, [xi + hh * ki for xi, ki in zip(x, k1)], held)",
-        "x = [xi + (hh / 2.0) * (a + b) for xi, a, b in zip(x, k1, k2)]",
-    ),
-    "rk4": (
-        "k1 = deriv(t, x, held)",
-        "k2 = deriv(t + hh / 2.0,"
-        " [xi + (hh / 2.0) * ki for xi, ki in zip(x, k1)], held)",
-        "k3 = deriv(t + hh / 2.0,"
-        " [xi + (hh / 2.0) * ki for xi, ki in zip(x, k2)], held)",
-        "k4 = deriv(t + hh, [xi + hh * ki for xi, ki in zip(x, k3)], held)",
-        "x = [xi + (hh / 6.0) * (a + 2.0 * b + 2.0 * c + d)"
-        " for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]",
-    ),
-}
-
-
-def kernel_tables(model) -> Dict[str, Any]:
-    """Flatten the per-node :class:`BlockCode` rows into kernel tables.
-
-    Shared by the Python and C renderers: output lines in plan order,
-    ``(state_index, expr)`` derivative rows (indexed by the node's state
-    slice, so optimizer-removed stateful nodes leave their slots at the
-    interpreter's 0.0), held registers and sync replica statements.
-    """
-    output_lines: List[str] = []
-    derivs: List[Tuple[int, str]] = []
-    held: List[Tuple[str, float]] = []
-    held_attrs: List[Tuple[str, Any, str]] = []  # (name, leaf, attr)
-    sync_rows: List[Tuple[int, str]] = []
-    for node in model.plan.nodes:
-        block_code = model.code[node.index]
-        output_lines.extend(block_code.output_lines)
-        for i, expr in enumerate(block_code.deriv_exprs):
-            derivs.append((node.lo + i, expr))
-        held.extend(
-            (name, float(value)) for name, value in block_code.held_vars
-        )
-        for name, attr in block_code.held_attrs:
-            held_attrs.append((name, node.leaf, attr))
-        if block_code.sync_lines and not block_code.sync_stmts:
-            raise UnsupportedBlockError(
-                f"{node.leaf.path()} ({type(node.leaf).__name__}) has "
-                "sync behaviour but no statement-level replica for the "
-                "scalar kernel backends"
-            )
-        sync_rows.extend(block_code.sync_stmts)
-    return {
-        "output_lines": output_lines,
-        "derivs": derivs,
-        "held": held,
-        "held_attrs": held_attrs,
-        "sync_rows": sync_rows,
-        "record_exprs": [signal for __, signal in model.records],
-        "n_states": len(model.initial_state),
-    }
-
-
-def render_python_kernel(model, solver_name: str) -> str:
-    """The kernel module source for ``model``: a ``_build(held)``
-    factory whose ``outvals``, ``sync`` and ``one_step`` close over the
-    held-register list and have the signatures
-    :func:`repro.core.loop.run` calls."""
-    tables = kernel_tables(model)
-    held_names = [name for name, __ in tables["held"]]
-    w: List[str] = [
-        '"""Auto-generated by repro.core.backend.pykernel'
-        ' -- do not edit."""',
-        "import math",
-        "",
-        "",
-        "def _build(held):",
-    ]
-
-    def emit_signals(indent: str) -> None:
-        for i, name in enumerate(held_names):
-            w.append(f"{indent}{name} = held[{i}]")
-        for line in tables["output_lines"]:
-            w.append(f"{indent}{line}")
-
-    w.append("    def deriv(t, x, held):")
-    emit_signals("        ")
-    w.append(f"        d = [0.0] * {tables['n_states']}")
-    for index, expr in tables["derivs"]:
-        w.append(f"        d[{index}] = {expr}")
-    w.append("        return d")
-    w.append("")
-
-    w.append("    def outvals(t, x):")
-    emit_signals("        ")
-    row = ", ".join(tables["record_exprs"])
-    w.append(f"        return ({row}{',' if row else ''})")
-    w.append("")
-
-    w.append("    def sync(t, x):")
-    if tables["sync_rows"]:
-        emit_signals("        ")
-        for indent, line in tables["sync_rows"]:
-            w.append(f"        {'    ' * indent}{line}")
-        for i, name in enumerate(held_names):
-            w.append(f"        held[{i}] = {name}")
-    else:
-        w.append("        pass")
-    w.append("")
-
-    w.append("    def one_step(t, x, hh):")
-    for line in _STAGES[solver_name]:
-        w.append(f"        {line}")
-    w.append("        return t + hh, x")
-    w.append("")
-    w.append("    return deriv, outvals, sync, one_step")
-    return "\n".join(w) + "\n"
 
 
 class PyKernelProgram(BackendProgram):

@@ -15,7 +15,11 @@ the same IEEE-754 double operations per row that the scalar interpreter
 applies per instance — so batched trajectories are *bitwise identical* to
 N sequential runs (for blocks whose interpreter and emitter share the
 expression structure; transcendental-heavy blocks may differ in the last
-ulp due to SIMD libm variants).
+ulp due to SIMD libm variants).  Sampled blocks are no exception: their
+sync is the one statement form every target renders
+(:attr:`~repro.codegen.common.BlockCode.sync_stmts`), here a masked
+walk in which each instance takes the scalar ``SampledBlock.on_sync``
+comparisons and clock additions.
 
 Swept parameters become per-instance vectors: ``sweeps={"pid.kp":
 values}`` replaces the block parameter with a :class:`SweepVar` whose
@@ -187,29 +191,11 @@ def _vectorise(expr: str) -> str:
 
 def _render_program(model: Any) -> str:
     """Render the vectorised program source (a ``_build`` factory)."""
-    output_lines: List[str] = []
-    deriv_lines: List[str] = []
-    held_inits: List[Tuple[str, float]] = []
-    held_names: List[str] = []
-    sync_lines: List[str] = []
-    deriv_index = 0
-    for node in model.plan.nodes:
-        block_code = model.code[node.index]
-        output_lines.extend(
-            _vectorise(line) for line in block_code.output_lines
-        )
-        for name, value in block_code.held_vars:
-            held_inits.append((name, float(value)))
-            held_names.append(name)
-        sync_lines.extend(
-            _vectorise(line) for line in block_code.sync_lines
-        )
-        for expr in block_code.deriv_exprs:
-            deriv_lines.append(
-                f"dx[:, {deriv_index}] = {_vectorise(expr)}"
-            )
-            deriv_index += 1
+    from repro.codegen.common import NumpyLang, kernel_tables
 
+    tables = kernel_tables(model)
+    held_names = [name for name, __ in tables["held"]]
+    output_lines = [_vectorise(line) for line in tables["output_lines"]]
     signals = sorted({line.split(" = ")[0] for line in output_lines})
     sig_dict = ", ".join(f"{s!r}: {s}" for s in signals)
     unpack = [f"{s} = sig[{s!r}]" for s in signals]
@@ -220,10 +206,8 @@ def _render_program(model: Any) -> str:
         "",
         "def _build(n, P):",
     ]
-    from repro.codegen.common import NumpyLang
-
     lang = NumpyLang()
-    for name, value in held_inits:
+    for name, value in tables["held"]:
         lines.append(f"    {name} = np.full(n, {lang.literal(value)})")
     lines.append("")
     lines.append("    def outputs(t, x):")
@@ -236,20 +220,19 @@ def _render_program(model: Any) -> str:
     for line in unpack:
         lines.append(f"        {line}")
     lines.append("        dx = np.zeros_like(x)")
-    for line in deriv_lines:
-        lines.append(f"        {line}")
+    for index, expr in tables["derivs"]:
+        lines.append(f"        dx[:, {index}] = {_vectorise(expr)}")
     lines.append("        return dx")
     lines.append("")
     lines.append("    def sync(t, x):")
-    if held_names:
+    if tables["sync_rows"]:
         lines.append(f"        nonlocal {', '.join(held_names)}")
-    if sync_lines:
         lines.append("        sig = outputs(t, x)")
         for line in unpack:
             lines.append(f"        {line}")
-        for line in sync_lines:
-            lines.append(f"        {line}")
-    if not held_names and not sync_lines:
+        for indent, line in tables["sync_rows"]:
+            lines.append(f"        {'    ' * indent}{_vectorise(line)}")
+    else:
         lines.append("        pass")
     lines.append("")
     # held-state accessors: the sample-and-hold registers live in this
@@ -435,7 +418,7 @@ def compile_batch_program(
         line
         for code in model.code.values()
         for line in (
-            *code.output_lines, *code.deriv_exprs, *code.sync_lines,
+            *code.output_lines, *code.deriv_exprs,
             *(stmt for __, stmt in code.sync_stmts),
         )
     )

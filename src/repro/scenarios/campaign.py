@@ -232,6 +232,23 @@ def _mutate_result(result) -> None:
 # ----------------------------------------------------------------------
 # family executors
 # ----------------------------------------------------------------------
+def _diff_failure(
+    reference, candidate, label: str, head: str,
+) -> Optional[str]:
+    """The divergence between two run outcomes of which at least one is
+    a :class:`~repro.solvers.base.SolverError`, or None: both must have
+    raised, the candidate with the message ``head``."""
+    from repro.solvers.base import SolverError
+
+    if not isinstance(reference, SolverError):
+        return f"{label}: raised {candidate} where the interpreter ran"
+    if not isinstance(candidate, SolverError):
+        return f"{label}: ran where the interpreter raised {reference}"
+    if not str(candidate).startswith(head):
+        return f"{label}: raised {candidate}, not {head!r}"
+    return None
+
+
 def _run_differential(
     spec: ScenarioSpec, config: CampaignConfig, rec: _Recorder
 ) -> Optional[str]:
@@ -245,20 +262,38 @@ def _run_differential(
     execute the same optimized plan, so even a reassociated O2 plan
     leaves them no excuse to differ in a single ulp.
 
+    A diverging plant is an outcome, not a crash.  Where the interpreter
+    raises :class:`~repro.solvers.base.SolverError` at a level, every
+    compiled backend at that level must raise one whose message starts
+    with ``"<solver>: non-finite state"``
+    (:func:`~repro.solvers.base.non_finite`); where it does not, no
+    backend may.
+
     Every compiled backend's request is prefetched first, so the native
     kernels build in the background while the interpreter runs.
+    ``dag_sampled`` scenarios also check the generated programs
+    (:func:`_check_generated`).
     """
     from repro.core.backend import CompileRequest, compile_program, prefetch
+    from repro.solvers.base import SolverError, non_finite
 
     solver = spec.params.get("solver", "rk4")
     mutate = spec.seed in config.mutate_seeds
     levels = tuple(config.opt_levels) or (0,)
+    head = non_finite(solver, 0.0).partition(" at ")[0]
 
     def request_at(level: int) -> CompileRequest:
         return CompileRequest(
             diagram=spec.build(), solver=solver, h=config.h,
             opt_level=level,
         )
+
+    def outcome(program):
+        """The program's run, or the :class:`SolverError` it raised."""
+        try:
+            return program.run(config.t_end)
+        except SolverError as exc:
+            return exc
 
     compiled = {
         (backend, level): request_at(level)
@@ -275,12 +310,16 @@ def _run_differential(
             rec.opt_report(program.plan)
         rec.backend(program.backend)
         rec.solver(solver)
-        interp[level] = program.run(config.t_end)
+        interp[level] = outcome(program)
         reassociated[level] = _plan_reassociates(program.plan, level)
     base = levels[0]
     for level in levels[1:]:
         label = f"interpreter O{level} vs O{base}"
-        if reassociated[level]:
+        if isinstance(interp[base], SolverError) or isinstance(
+            interp[level], SolverError,
+        ):
+            detail = _diff_failure(interp[base], interp[level], label, head)
+        elif reassociated[level]:
             detail = _diff_series_tol(
                 interp[base], interp[level], label, config.reassoc_rtol,
             )
@@ -291,15 +330,104 @@ def _run_differential(
     for (backend, level), request in compiled.items():
         program = compile_program(request, backend)
         rec.backend(program.backend)
-        result = program.run(config.t_end)
-        if mutate:
-            _mutate_result(result)
-        detail = _diff_series(
-            interp[level], result,
-            f"{backend} (ran {program.backend}) O{level} vs interpreter",
-        )
+        result = outcome(program)
+        label = f"{backend} (ran {program.backend}) O{level} vs interpreter"
+        if isinstance(interp[level], SolverError) or isinstance(
+            result, SolverError,
+        ):
+            detail = _diff_failure(interp[level], result, label, head)
+        else:
+            if mutate:
+                _mutate_result(result)
+            detail = _diff_series(interp[level], result, label)
         if detail:
             return detail
+    if spec.family == "dag_sampled":
+        reference = interp.get(0) if solver == "rk4" else None
+        return _check_generated(spec, config, reference)
+    return None
+
+
+def _check_generated(
+    spec: ScenarioSpec, config: CampaignConfig, reference=None,
+) -> Optional[str]:
+    """The generated programs of a scenario against the interpreter.
+
+    ``generate_python`` and ``generate_c`` integrate with RK4 at O0, so
+    the reference is the interpreter's RK4 run at O0 (``reference``, when
+    the caller already has it).  The Python module must match bitwise;
+    the C program, built with ``-ffp-contract=off`` when a compiler
+    exists, must print the interpreter's records at its ``%.9g``.  A
+    reference that diverged has nothing to compare: the generated
+    programs do not check their state.
+    """
+    import subprocess
+
+    from repro.codegen import generate_c, generate_python
+    from repro.core.backend import CompileRequest, compile_program
+    from repro.core.backend.native import find_c_compiler
+    from repro.solvers.base import SolverError
+
+    if reference is None:
+        try:
+            reference = compile_program(CompileRequest(
+                diagram=spec.build(), solver="rk4", h=config.h,
+            ), "interpreter").run(config.t_end)
+        except SolverError:
+            return None
+    if isinstance(reference, SolverError):
+        return None
+    namespace: Dict[str, Any] = {}
+    exec(compile(
+        generate_python(spec.build(), default_h=config.h),
+        "<generate_python>", "exec",
+    ), namespace)
+    out = namespace["simulate"](config.t_end)
+    labels = namespace["LABELS"][1:]  # the records, as the C header
+    if sorted(labels) != sorted(reference.series):
+        return "generate_python vs interpreter: record keys differ"
+    for label in ("t", *labels):
+        want = reference.t if label == "t" else reference.series[label]
+        if not np.array_equal(want, out[label]):
+            return (
+                f"generate_python vs interpreter: series {label!r} "
+                "diverges"
+            )
+    compiler = find_c_compiler()
+    if compiler is None:
+        return None
+    with tempfile.TemporaryDirectory(prefix="campaign-c-") as tmp:
+        source = os.path.join(tmp, "model.c")
+        binary = os.path.join(tmp, "model")
+        with open(source, "w") as handle:
+            handle.write(generate_c(
+                spec.build(), default_h=config.h, t_end=config.t_end,
+            ))
+        subprocess.run(
+            [compiler, "-O2", "-ffp-contract=off", "-o", binary, source,
+             "-lm"],
+            check=True, capture_output=True, timeout=120,
+        )
+        printed = subprocess.run(
+            [binary], check=True, capture_output=True, text=True,
+            timeout=120,
+        ).stdout.splitlines()
+    header, *lines = printed
+    if header != ",".join(["t", *labels]):
+        return f"generate_c vs interpreter: header {header!r}"
+    columns = [reference.t, *(reference.series[label] for label in labels)]
+    if len(lines) != len(columns[0]):
+        return "generate_c vs interpreter: record counts differ"
+    # by value, as np.array_equal compares every other executor: a Sum
+    # emitted as ``- a - b`` gives -0.0 where the block's 0.0 - a - b
+    # gives 0.0, and the program prints the sign
+    for index, (row, line) in enumerate(zip(zip(*columns), lines)):
+        want = [float("%.9g" % value) for value in row]
+        if not np.array_equal(want, [float(v) for v in line.split(",")]):
+            return (
+                f"generate_c vs interpreter: record {index} prints "
+                f"{line!r}, not {want}"
+            )
     return None
 
 

@@ -21,10 +21,9 @@ Families
     PID-over-plant control families with optimizer bait for all four
     passes (:func:`~repro.scenarios.synth.synth_plant`).
 ``batch``
-    One diagram, N instances: :class:`~repro.core.batch.BatchSimulator`
-    against the sequential interpreter reference, bitwise (continuous
-    blocks only — the repo makes no bitwise batch-vs-sequential claim
-    for sampled blocks).
+    One diagram, continuous or sampled, N instances:
+    :class:`~repro.core.batch.BatchSimulator` against the sequential
+    interpreter reference, bitwise.
 ``solver``
     Adaptive/implicit solver kinds (the ones compiled kernels demote
     on) through the interpreter, run-twice determinism.
@@ -102,17 +101,12 @@ class ScenarioSpec:
         elif family == "plant":
             params["solver"] = rng.choice(KERNEL_SOLVERS)
         elif family == "batch":
-            # continuous blocks only: the repo makes no bitwise claim
-            # for sampled blocks between the batch codegen (closed-form
-            # sample grid, sync evaluates outputs first) and the
-            # sequential reference (incremental walk over stale pads) —
-            # see tests/core/test_batch.py::TestSampledBlocks.  Sampled
-            # opcodes get their differential coverage from the
-            # ``dag_sampled`` family instead.
             params["blocks"] = rng.randint(6, 14)
             params["n"] = rng.randint(3, 6)
             params["solver"] = rng.choice(KERNEL_SOLVERS)
             params["sweep"] = rng.random() < 0.5
+            # drawn last, so a seed keeps the parameters drawn before
+            params["sampled"] = rng.random() < 0.5
         elif family == "solver":
             params["blocks"] = rng.randint(6, 12)
             params["solver"] = rng.choice(DEMOTING_SOLVERS)
@@ -147,7 +141,10 @@ class ScenarioSpec:
         if self.family == "plant":
             return synth.synth_plant(self.seed)
         if self.family in ("batch", "solver"):
-            return synth.synth_dag(self.seed, blocks=p["blocks"])
+            return synth.synth_dag(
+                self.seed, blocks=p["blocks"],
+                sampled=p.get("sampled", False),
+            )
         if self.family == "fault":
             return synth.synth_control_model(self.seed)
         if self.family == "multirate":

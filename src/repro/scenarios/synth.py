@@ -12,8 +12,7 @@ Four families:
 * :func:`synth_dag` — random acyclic diagrams over the emitter-
   supported block grammar (moved here from ``repro.core.opt.synth``,
   which keeps a deprecation alias).  ``sampled=True`` mixes in
-  zero-order holds and unit delays; the continuous variant is also
-  batch-comparable.
+  zero-order holds and unit delays.
 * :func:`synth_feedback` — the same DAG grammar plus seeded feedback
   loops, each broken by a non-feedthrough block (integrator or lag) so
   the diagram stays legal under W12/STR001.
@@ -140,7 +139,7 @@ def synth_dag(
     giving every backend identical default record labels.  With
     ``sampled=True`` the mix includes zero-order holds and unit delays
     (the statement-replica sync path); otherwise the DAG is purely
-    continuous and also batch-comparable.
+    continuous.
     """
     from repro.dataflow import Scope
     from repro.dataflow.diagram import Diagram

@@ -637,11 +637,16 @@ class BatchJob(JobSpec):
         )
 
     def _cache_key(self, plan, opt) -> str:
+        from repro.codegen.common import KERNEL_VERSION
+
         extra = {
             "backend": self._effective_backend(),
             "records": tuple(self.records) if self.records else "<default>",
             "sweep_paths": tuple(sorted(self.sweeps or {})),
             "solver": solver_key(self.solver),
+            # the renderers' shape: a checkpoint spooled under another
+            # sync form must not resume under this one
+            "kernel": KERNEL_VERSION,
         }
         # the requested backend keys separately so its telemetry-bearing
         # artefacts never masquerade as plain batch submissions

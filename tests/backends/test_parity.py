@@ -27,6 +27,7 @@ from repro.core.backend import (
     has_c_compiler,
 )
 from repro.core.backend.native import find_c_compiler
+from repro.core.batch import BatchSimulator, simulate_sequential
 from repro.scenarios.synth import synth_dag
 from repro.dataflow import (
     PID,
@@ -49,6 +50,7 @@ from repro.dataflow import (
 )
 from repro.dataflow.diagram import Diagram
 from repro.service import MetricsRegistry
+from tests.backends.test_native_torn import JUNK_CC
 
 H = 1.0 / 512.0  # binary-exact: every multiple is an exact double
 T_END = 0.5      # 256 whole steps; the final step is never clamped
@@ -300,6 +302,167 @@ class TestNonFiniteParameters:
         assert last[0] == ref.t[-1]
         for value, label in zip(last[1:], UNBOUNDED_RECORDS):
             assert value == pytest.approx(ref.series[label][-1], rel=1e-8)
+
+
+PROBE_RECORDS = ["zoh.out", "delay.out", "lag.out"]
+PROBE_TS = (0.013, 0.02, 0.025, 0.05, 0.1)
+PROBE_H = (1e-3, 5e-3, 1e-2)
+PROBE_T_END = 2.0
+
+
+def probe_diagram(ts):
+    """Sine -> ZeroOrderHold(ts) -> UnitDelay(ts) -> FirstOrderLag: a
+    sample grid that is not a multiple of the step, so the sample clock
+    falls between steps and walks past some of them."""
+    d = Diagram("probe")
+    d.add(Sine("src", amplitude=1.0))
+    d.add(ZeroOrderHold("zoh", ts=ts))
+    d.add(UnitDelay("delay", ts=ts))
+    d.add(FirstOrderLag("lag", tau=0.2))
+    d.connect("src.out", "zoh.in")
+    d.connect("zoh.out", "delay.in")
+    d.connect("delay.out", "lag.in")
+    return d
+
+
+def probe_request(ts, h, cache_dir=None, **overrides):
+    return CompileRequest(
+        diagram=probe_diagram(ts), records=PROBE_RECORDS, solver="rk4",
+        h=h, cache_dir=cache_dir, **overrides,
+    )
+
+
+def probe_records(executor, ts, h, cache_dir, tmp_path):
+    """``(t, {label: series})`` of one executor's run of the probe."""
+    if executor in ("interpreter", "compiled-python", "native-c"):
+        program = compile_program(probe_request(ts, h, cache_dir), executor)
+        assert program.backend == executor
+        result = program.run(PROBE_T_END)
+        return result.t, result.series
+    if executor in ("batch", "native-batch"):
+        program = compile_program(
+            probe_request(ts, h, cache_dir, n=1), executor,
+        )
+        assert program.backend == executor
+        result = program.run(PROBE_T_END)
+        return result.t, {
+            label: series[:, 0] for label, series in result.series.items()
+        }
+    if executor == "sequential":
+        result = simulate_sequential(
+            lambda: probe_diagram(ts), 1, PROBE_T_END, solver="rk4", h=h,
+            records=PROBE_RECORDS,
+        )
+        return result.t, {
+            label: series[:, 0] for label, series in result.series.items()
+        }
+    if executor == "generate_python":
+        namespace = {}
+        exec(compile(generate_python(
+            probe_diagram(ts), records=PROBE_RECORDS, default_h=h,
+        ), "<generated>", "exec"), namespace)
+        out = namespace["simulate"](PROBE_T_END)
+        return np.asarray(out["t"]), {
+            label: np.asarray(out[label]) for label in PROBE_RECORDS
+        }
+    assert executor == "generate_c"
+    c_file = tmp_path / "probe.c"
+    c_file.write_text(generate_c(
+        probe_diagram(ts), records=PROBE_RECORDS, default_h=h,
+        t_end=PROBE_T_END,
+    ))
+    binary = tmp_path / "probe"
+    subprocess.run(
+        [find_c_compiler(), "-O2", "-ffp-contract=off", "-o", str(binary),
+         str(c_file), "-lm"],
+        check=True, capture_output=True,
+    )
+    return subprocess.run(
+        [str(binary)], check=True, capture_output=True, text=True,
+    ).stdout
+
+
+@pytest.fixture(scope="module")
+def probe_reference():
+    """The interpreter's records of the probe, once per ``(ts, h)``."""
+    runs = {}
+
+    def reference(ts, h):
+        if (ts, h) not in runs:
+            runs[ts, h] = probe_records("interpreter", ts, h, None, None)
+        return runs[ts, h]
+
+    return reference
+
+
+def as_csv(t, series):
+    """Records as the generated C program prints them (``%.9g``)."""
+    columns = [t, *(series[label] for label in PROBE_RECORDS)]
+    return "".join(
+        ",".join("%.9g" % value for value in row) + "\n"
+        for row in zip(*columns)
+    )
+
+
+@pytest.mark.parametrize("executor", [
+    "interpreter", "compiled-python", "batch", "sequential",
+    "generate_python",
+    pytest.param("native-c", marks=needs_cc),
+    pytest.param("native-batch", marks=needs_cc),
+    pytest.param("generate_c", marks=needs_cc),
+])
+@pytest.mark.parametrize("h", PROBE_H)
+@pytest.mark.parametrize("ts", PROBE_TS)
+class TestSampledBlocks:
+    """Every executor takes the interpreter's samples: one sync form
+    (``BlockCode.sync_stmts``) rendered for every target."""
+
+    def test_bitwise_vs_interpreter(
+        self, ts, h, executor, probe_reference, native_cache, tmp_path,
+    ):
+        t, series = probe_reference(ts, h)
+        got = probe_records(executor, ts, h, native_cache, tmp_path)
+        if executor == "generate_c":
+            header = ",".join(["t", *PROBE_RECORDS]) + "\n"
+            assert got == header + as_csv(t, series)
+            return
+        got_t, got_series = got
+        assert np.array_equal(got_t, t)
+        for label in PROBE_RECORDS:
+            assert np.array_equal(got_series[label], series[label]), label
+
+
+@needs_cc
+@pytest.mark.parametrize("demotion", ["disabled", "junk-cc"])
+def test_demoted_native_batch_equals_the_native_run(
+    demotion, native_cache, tmp_path, monkeypatch,
+):
+    """A native-batch run that demotes to the NumPy program gives the
+    native run's answer on sampled blocks."""
+    def run(cache_dir):
+        sim = BatchSimulator(
+            probe_diagram(0.013), 2, solver="rk4", h=1e-2,
+            records=PROBE_RECORDS, sweeps={"lag.tau": [0.2, 0.3]},
+            backend="native-batch", native_cache_dir=cache_dir,
+        )
+        return sim, sim.run(PROBE_T_END)
+
+    native, want = run(native_cache)
+    assert native.backend_name == "native-batch"
+    if demotion == "disabled":
+        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
+    else:
+        cc = tmp_path / "junk-cc"
+        cc.write_text(JUNK_CC)
+        cc.chmod(0o755)
+        monkeypatch.setenv("CC", str(cc))
+    demoted, got = run(tmp_path / "cache")
+    assert demoted.backend_name == "batch"
+    assert demoted.backend_fallback_reason
+    assert np.array_equal(got.t, want.t)
+    for label in PROBE_RECORDS:
+        assert np.array_equal(got.series[label], want.series[label]), label
+    assert np.array_equal(got.final_states, want.final_states)
 
 
 @pytest.mark.parametrize("name", sorted(DIAGRAMS))

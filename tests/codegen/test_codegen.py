@@ -169,20 +169,16 @@ class TestCGeneration:
         source = generate_c(feedback_diagram(), records=["plant.out"])
         assert source.count("{") == source.count("}")
         assert "#include <math.h>" in source
-        assert "static void rhs(" in source
+        assert "static void model_deriv(" in source
         assert "int main(void)" in source
-        assert "#define N_STATES 3" in source
+        assert "#define NX 3" in source
 
-    def test_all_signals_become_array_accesses(self):
-        source = generate_c(feedback_diagram())
-        # no bare signal variable names survive in C
-        assert "v_plant_out =" not in source
-        assert "sig[" in source
-
-    def test_sampled_blocks_emit_statics(self):
+    def test_sampled_blocks_emit_held_registers(self):
         source = generate_c(everything_diagram())
-        assert "static double h_zoh_held" in source
-        assert "sync_step" in source
+        assert "const double h_zoh_held = 0.0;" in source
+        # the statement replica of on_sync, in the kernel's sync
+        assert "static void model_sync(" in source
+        assert "h_zoh_held = v_integ_out;" in source
 
     def test_csv_header_contains_records(self):
         source = generate_c(feedback_diagram(), records=["plant.out"])
@@ -197,12 +193,13 @@ class TestCGeneration:
 
 
 class TestSignalSubstitution:
-    """Whole-identifier signal rewriting in the C renderer.
+    """Signal and held-register identifiers side by side.
 
     A held register whose identifier *embeds* a signal name (block
     ``xv_g_out`` owns ``h_xv_g_out_held``, which contains the Gain
-    ``g``'s signal ``v_g_out``) must survive substitution intact:
-    sequential ``str.replace`` would corrupt it into ``h_xsig[i]_held``.
+    ``g``'s signal ``v_g_out``) must stay its own variable.  The
+    generated programs declare signals as kernel locals by their own
+    names, so no text is rewritten and no identifier can be corrupted.
     """
 
     def overlapping_diagram(self):
@@ -218,22 +215,8 @@ class TestSignalSubstitution:
 
     def test_embedding_held_identifier_survives(self):
         source = generate_c(self.overlapping_diagram())
-        assert "static double h_xv_g_out_held" in source
-        assert "h_xv_g_out_held = " in source  # the sync assignment
-        assert "h_xsig[" not in source         # the str.replace corruption
-        assert "sig[" in source                # substitution still ran
-
-    def test_substituter_is_word_boundary_anchored(self):
-        from repro.codegen.cgen import _signal_substituter
-
-        fix = _signal_substituter(
-            ["v_a_held", "v_a"], {"v_a_held": 0, "v_a": 1},
-        )
-        # embedded occurrences stay; whole identifiers are rewritten,
-        # longest-first so v_a never clips v_a_held
-        assert fix("h_xv_a_held + v_a_held * v_a") == \
-            "h_xv_a_held + sig[0] * sig[1]"
-        assert fix("no_signals_here") == "no_signals_here"
+        assert "const double h_xv_g_out_held = 0.0;" in source
+        assert "h_xv_g_out_held = v_g_out;" in source  # the sync sample
 
     def test_generated_overlap_program_compiles_in_python(self):
         """The Python backend of the same diagram still round-trips."""

@@ -273,6 +273,49 @@ class TestBatchResume:
                 reference.series[label], result.series[label],
             ), label
 
+    def test_checkpoint_keyed_before_the_sync_form_is_refused(
+        self, tmp_path,
+    ):
+        """A batch spool written while the NumPy program sampled on a
+        closed-form clock is keyed without the kernel version.  Resuming
+        from it is refused by the fingerprint check, not resumed under
+        the walk."""
+        import dataclasses
+
+        from repro.core.network import FlatNetwork
+        from repro.resilience import (
+            CheckpointManager, FingerprintMismatchError, encode_snapshot,
+        )
+        from repro.solvers.registry import solver_key
+
+        kwargs = self.loop_kwargs()
+        run_job(FlakyBatchJob(
+            retries=1, backoff=0.01, checkpoint_dir=tmp_path / "spool",
+            die_after_chunks=2, **kwargs,
+        ))
+        __, snapshot = CheckpointManager(tmp_path / "spool").load_latest()
+        diagram = kwargs["diagram_factory"]()
+        diagram.finalise()
+        old_key = FlatNetwork([diagram]).plan().fingerprint(extra={
+            "backend": "batch",
+            "records": tuple(kwargs["records"]),
+            "sweep_paths": tuple(sorted(kwargs["sweeps"])),
+            "solver": solver_key(kwargs["solver"]),
+        })
+        assert snapshot.fingerprint != old_key
+
+        def resume_from(fingerprint):
+            path = tmp_path / f"{fingerprint[:12]}.ckpt"
+            path.write_bytes(encode_snapshot(
+                dataclasses.replace(snapshot, fingerprint=fingerprint),
+            ))
+            return run_job(BatchJob(resume_from=str(path), **kwargs))
+
+        __, events, __ = resume_from(snapshot.fingerprint)
+        assert any(e.kind == RESUMED for e in events)
+        with pytest.raises(FingerprintMismatchError):
+            resume_from(old_key)
+
     def test_native_batch_crash_retry_resumes_bitwise(self, tmp_path):
         """The C-kernel backend spools/restores the same checkpoint
         payload as the NumPy program: a mid-run worker death resumes

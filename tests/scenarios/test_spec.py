@@ -44,16 +44,27 @@ class TestFromSeed:
             elif solver is not None:
                 assert solver in KERNEL_SOLVERS
 
-    def test_batch_family_is_continuous_only(self):
-        # no bitwise batch-vs-sequential claim exists for sampled
-        # blocks, so the batch family must never draw them
+    def test_batch_family_draws_sampled_dags_last(self):
+        # the sampled draw comes after every other batch parameter, so
+        # a batch seed keeps what it drew before the draw existed
+        assert ScenarioSpec.from_seed(10).params == {
+            "blocks": 12, "n": 6, "solver": "rk4", "sweep": True,
+            "sampled": True,
+        }
+        assert ScenarioSpec.from_seed(33).params == {
+            "blocks": 9, "n": 5, "solver": "heun", "sweep": False,
+            "sampled": False,
+        }
+        drawn = set()
         for seed in range(500):
             spec = ScenarioSpec.from_seed(seed)
             if spec.family == "batch":
-                assert "sampled" not in spec.params
                 subs = spec.build().subs.values()
                 names = {type(sub).__name__ for sub in subs}
-                assert not names & {"UnitDelay", "ZeroOrderHold"}
+                if not spec.params["sampled"]:
+                    assert not names & {"UnitDelay", "ZeroOrderHold"}
+                drawn.add(spec.params["sampled"])
+        assert drawn == {False, True}
 
     def test_defect_params_name_registered_defects(self):
         seen = set()
