@@ -15,10 +15,10 @@ state that ties them together:
 * **Admission control.**  :meth:`submit` sheds load *before* it enters
   the system: a bounded global queue, a per-client in-flight quota, and
   a deadline-feasibility gate that predicts completion from an EMA of
-  recent job wall times and rejects jobs that would blow their deadline
-  while waiting.  Rejection is an exception (:class:`ClusterRejected`)
-  with a machine-readable reason, mirrored in ``cluster.rejected.*``
-  counters.
+  recent DONE jobs' wall times and rejects jobs that would blow their
+  deadline while waiting.  Rejection is an exception
+  (:class:`ClusterRejected`) with a machine-readable reason, mirrored
+  in ``cluster.rejected.*`` counters.
 
 * **Live migration.**  A monitor thread watches worker liveness.  When
   a worker dies (crash or SIGKILL) holding a job, the coordinator
@@ -30,8 +30,9 @@ state that ties them together:
 
 Telemetry from workers is forwarded live onto each job's coordinator
 channel (the same :class:`~repro.core.channel.Channel` the HTTP layer
-streams), and each finished job's worker-side metrics dump is merged
-into the pool registry.
+streams) and closed with the job's terminal ``state`` event, and each
+finished job's worker-side metrics dump is merged into the pool
+registry.
 """
 
 from __future__ import annotations
@@ -228,8 +229,8 @@ class WorkerPool:
         self._job_seq = itertools.count(1)
         self._epoch_seq = itertools.count(1)
         # the shared deadline-admission predicate (same code path the
-        # in-process JobEngine uses), calibrated per job kind from every
-        # worker DONE report
+        # in-process JobEngine uses), calibrated per job kind from the
+        # wall time of every job a worker reports DONE
         self.admission = DeadlineAdmission(
             CostModel(alpha=self.config.ema_alpha),
             margin=self.config.admission_margin,
@@ -520,10 +521,14 @@ class WorkerPool:
             handle = self._jobs.get(job_id)
             if handle is None or handle.state.terminal:
                 return  # late DONE from a worker we already gave up on
-            self.admission.cost_model.observe(handle.request.kind, wall)
-            self.metrics.histogram("cluster.job_wall").observe(wall)
+            state = JobState(state_value)
+            if state is JobState.DONE:
+                # calibrate on completed work only, as the engine does:
+                # a failed or cancelled job's wall time is not its cost
+                self.admission.cost_model.observe(handle.request.kind, wall)
+                self.metrics.histogram("cluster.job_wall").observe(wall)
             self.metrics.merge(metrics_dump)
-            self._finish_job(handle, JobState(state_value), result, error)
+            self._finish_job(handle, state, result, error)
 
     def _finish_job(
         self,
@@ -534,6 +539,12 @@ class WorkerPool:
     ) -> None:
         """Caller holds the lock."""
         self._envelopes.pop(handle.id, None)
+        # the terminal state closes the stream, as the engine's does
+        # (seq -1: a coordinator-side event, like ADMISSION)
+        handle.channel.push(TelemetryEvent(
+            kind=telemetry.STATE, job_id=handle.id, seq=-1, t=float("nan"),
+            payload={"state": state.value, "error": error},
+        ))
         handle._finish(state, result, error)
         self.metrics.counter(f"cluster.finished.{state.value}").inc()
 

@@ -1,4 +1,4 @@
-"""The cluster worker: a slimmed JobEngine loop in its own OS process.
+"""The cluster worker: the service's attempt loop in its own OS process.
 
 One worker is one process running this module's :func:`worker_main`.
 The protocol with the coordinator is a queue, a pipe and a shared
@@ -23,12 +23,14 @@ integer:
 Execution reuses the service job specs verbatim — the worker rebuilds
 the spec from the request (:func:`~repro.cluster.requests.build_spec`)
 with its checkpoint spool pointed into the shared store, keeps a warm
-per-process :class:`~repro.service.cache.PlanCache`, and mirrors the
-engine's retry-with-backoff semantics for ``TransientJobError``.  A
-re-dispatched envelope arrives with ``attempt > 1``, which is exactly
-the condition the specs' resume machinery keys on: the new worker loads
-the newest valid checkpoint from the store spool and continues —
-bitwise, for fixed-step plans — where the dead worker stopped.
+per-process :class:`~repro.service.cache.PlanCache`, and runs it through
+the service's own attempt loop (:func:`~repro.service.jobs.
+run_attempts`), so retries, backoff and the ``running``/``retrying``
+events are the engine's.  A re-dispatched envelope arrives with
+``attempt > 1``, which is exactly the condition the specs' resume
+machinery keys on: the new worker loads the newest valid checkpoint
+from the store spool and continues — bitwise, for fixed-step plans —
+where the dead worker stopped.
 
 Every telemetry event a job emits is forwarded to the coordinator over
 the outbox (no more in-worker black holes), and each DONE message
@@ -47,10 +49,7 @@ from typing import Any, Dict, Optional
 from repro.cluster.requests import ClusterJobRequest, build_spec
 from repro.cluster.store import ArtifactStore
 from repro.service.cache import PlanCache
-from repro.service.jobs import (
-    JobCancelledError, JobContext, JobState, JobTimeoutError,
-    TransientJobError,
-)
+from repro.service.jobs import JobContext, JobState, run_attempts
 from repro.service.telemetry import EventEmitter, MetricsRegistry
 
 #: wire message tags (worker <-> coordinator)
@@ -144,35 +143,6 @@ class _WorkerServices:
         self.default_opt_level = default_opt_level
 
 
-def _execute_with_retries(
-    spec, handle: _WorkerHandle, ctx: JobContext
-) -> Any:
-    """Mirror JobEngine._run_job's retry loop, worker-process edition.
-
-    Local retries bump ``handle.attempts`` so a TransientJobError on
-    attempt 1 resumes from the spool on attempt 2 — same semantics as
-    the in-process engine, same bitwise guarantee.
-    """
-    first_attempt = handle.attempts
-    local = 0
-    while True:
-        handle.attempts = first_attempt + local
-        try:
-            return spec.execute(ctx)
-        except TransientJobError:
-            if local >= spec.retries:
-                raise
-            local += 1
-            delay = spec.backoff * (2 ** (local - 1))
-            wake_at = time.monotonic() + delay
-            while time.monotonic() < wake_at:
-                if handle.cancel_requested:
-                    raise JobCancelledError(
-                        f"job {handle.id} cancelled during backoff"
-                    )
-                time.sleep(min(0.01, wake_at - time.monotonic()))
-
-
 def worker_main(
     worker_id: int,
     feed,
@@ -244,24 +214,19 @@ def _run_envelope(
         job_id, _ForwardChannel(outbox, worker_id, job_id),
     )
     ctx = JobContext(handle, service=services, emitter=emitter)
-    try:
-        result = _execute_with_retries(spec, handle, ctx)
-    except JobCancelledError:
-        return JobState.CANCELLED, None, None
-    except JobTimeoutError:
-        return JobState.TIMEOUT, None, None
-    except BaseException as exc:
-        detail = "".join(
-            traceback.format_exception_only(type(exc), exc)
+    state, result, error = run_attempts(spec, ctx, services.metrics)
+    if error is not None:
+        return state, None, "".join(
+            traceback.format_exception_only(type(error), error)
         ).strip()
-        return JobState.FAILED, None, detail
-    # harvest the fingerprint into the content-address index while the
-    # spool is fresh (a no-op when checkpointing was off)
-    try:
-        store.index_job(job_id)
-    except OSError:
-        pass
-    return JobState.DONE, result, None
+    if state is JobState.DONE:
+        # harvest the fingerprint into the content-address index while
+        # the spool is fresh (a no-op when checkpointing was off)
+        try:
+            store.index_job(job_id)
+        except OSError:
+            pass
+    return state, result, None
 
 
 def result_from_wire(result_bytes: bytes) -> Any:

@@ -9,7 +9,8 @@ nothing about the run.
 
 All runtime faults are :class:`InjectedFault` subclasses of
 :class:`~repro.service.jobs.TransientJobError` — deliberately, so the
-job engine's existing bounded-retry path is what exercises crash
+bounded-retry path engine threads and cluster workers share
+(:func:`~repro.service.jobs.run_attempts`) is what exercises crash
 recovery: the retried attempt finds the spool directory, restores the
 latest valid checkpoint and resumes instead of cold-restarting.
 
@@ -54,11 +55,12 @@ class PlannedFault:
     """One entry of a fault plan (fires at most once).
 
     ``attempt`` pins the fault to one job attempt (default: the first).
-    This matters under *process* isolation, where the injector reaches
-    each worker by pickling — the child's ``fired`` flag never travels
-    back, so without the attempt pin a crash fault would re-fire on
-    every retry and recovery could never complete.  ``None`` fires on
-    any attempt (once per process)."""
+    This matters when a retried attempt arms a fresh copy of the
+    injector — a cluster job that migrates rebuilds its spec on another
+    worker, with the attempt count bumped — whose ``fired`` flags never
+    saw the first attempt: without the pin a crash fault would re-fire
+    on every attempt and recovery could never complete.  ``None`` fires
+    on any attempt (once per copy)."""
 
     kind: str
     step: int

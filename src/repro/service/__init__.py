@@ -103,7 +103,6 @@ class SimulationService:
         workers: int = 4,
         queue_limit: int = 64,
         cache_capacity: int = 128,
-        executor: str = "thread",
         check_policy: str = "off",
         check_config: Optional[Any] = None,
         default_opt_level: int = 0,
@@ -143,7 +142,6 @@ class SimulationService:
             queue_limit=queue_limit,
             metrics=self.metrics,
             service=self,
-            executor=executor,
             dispatch=dispatch,
             admission=self.admission,
         )

@@ -10,8 +10,8 @@ Two pieces:
 * :class:`CostModel` — per-job-kind exponential moving averages of
   observed wall time, with a global EMA fallback for kinds not yet
   seen.  This is the calibrated per-job cost predictor; the
-  :class:`~repro.service.engine.JobEngine` feeds it every completed
-  job, the cluster pool every worker DONE report.
+  :class:`~repro.service.engine.JobEngine` feeds it every DONE job,
+  the cluster pool every job a worker reports DONE.
 * :class:`DeadlineAdmission` — the predicate: predicted completion is
   the predicted cost inflated by queue pressure
   (``cost * (1 + queued / workers)``, the cluster's historic formula),

@@ -4,12 +4,11 @@ The runtime heart of the service layer — an actor-ish pool in the spirit
 of the paper's thread separation: submission is an O(1) enqueue onto a
 *bounded* queue (overflow is shed with :class:`~repro.service.jobs.
 ServiceOverloaded`, never buffered without limit), and a fixed set of
-worker threads drains it.  Threads are the right default because batch
-jobs spend their time inside NumPy (which releases the GIL) and share
-the in-process plan cache; ``executor="process"`` trades both away for
-hard isolation via a spawning :class:`concurrent.futures.
-ProcessPoolExecutor` (picklable specs only, telemetry reduced to
-start/end events).
+worker threads drains it.  Threads suit the service because batch jobs
+spend their time inside NumPy (which releases the GIL) and share the
+in-process plan cache; hard process isolation is the cluster's
+:class:`~repro.cluster.pool.WorkerPool`, whose worker processes run the
+same attempt loop (:func:`~repro.service.jobs.run_attempts`).
 
 Per-job guarantees:
 
@@ -21,8 +20,8 @@ Per-job guarantees:
   checkpoint.
 * **Bounded retry** — :class:`~repro.service.jobs.TransientJobError`
   triggers an exponential-backoff retry, up to ``spec.retries`` times,
-  on the same worker; the backoff sleep itself honours cancellation and
-  the deadline.
+  on the same worker (:func:`~repro.service.jobs.run_attempts`); the
+  backoff sleep itself honours cancellation and the deadline.
 
 Every transition feeds the :class:`~repro.service.telemetry.
 MetricsRegistry`: queue depth gauge, per-terminal-state counters, and a
@@ -35,14 +34,12 @@ import itertools
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.service.admission import DeadlineAdmission
 from repro.service.jobs import (
-    DeadlineInfeasible, JobCancelledError, JobContext, JobError,
-    JobHandle, JobSpec, JobState, JobTimeoutError, ServiceOverloaded,
-    TransientJobError,
+    DeadlineInfeasible, JobContext, JobError, JobHandle, JobSpec, JobState,
+    ServiceOverloaded, run_attempts,
 )
 from repro.service.telemetry import (
     ADMISSION, EventEmitter, MetricsRegistry, STATE, TelemetryEvent,
@@ -55,77 +52,6 @@ _SHUTDOWN = object()
 DISPATCH_ORDERS = ("fifo", "edf")
 
 
-class _EventTap:
-    """A Channel-shaped sink that records every pushed event.
-
-    Worker processes cannot share the parent's job channel, so the
-    isolated execution path collects events here and ships the list back
-    with the result for replay onto the real channel."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: List[Any] = []
-
-    def push(self, event: Any) -> bool:
-        self.events.append(event)
-        return True
-
-
-class _IsolatedServices:
-    """What a spec sees of the service inside an isolated worker: a
-    fresh metrics registry (dumped back to the parent on completion) and
-    the parent's default opt level — but no shared plan cache."""
-
-    __slots__ = ("metrics", "cache", "default_opt_level")
-
-    def __init__(self, default_opt_level: int = 0) -> None:
-        from repro.service.telemetry import MetricsRegistry as _Registry
-
-        self.metrics = _Registry()
-        self.cache = None
-        self.default_opt_level = default_opt_level
-
-
-@dataclass
-class IsolatedOutcome:
-    """What a process worker ships back: the spec's result plus the
-    telemetry events and metrics recorded while it ran (all picklable).
-    Events from a failed attempt are lost with the exception — the
-    engine's retry machinery, not telemetry, is the record of those."""
-
-    result: Any
-    events: List[Any] = field(default_factory=list)
-    metrics: Dict[str, Any] = field(default_factory=dict)
-
-
-def _execute_isolated(
-    spec: JobSpec,
-    attempts: int = 1,
-    job_id: str = "isolated",
-    default_opt_level: int = 0,
-) -> IsolatedOutcome:
-    """Run a spec in a worker process (module-level so it pickles).
-
-    The parent's attempt count rides along so resilience-aware specs can
-    tell a retry (restore from the spool) from a first attempt; the
-    job id keeps forwarded events addressed like in-process ones.
-    Telemetry emitted during the run is captured and returned with the
-    result instead of being silently dropped."""
-    handle = JobHandle(job_id, spec)
-    handle.state = JobState.RUNNING
-    handle.attempts = attempts
-    tap = _EventTap()
-    services = _IsolatedServices(default_opt_level)
-    emitter = EventEmitter(job_id, tap)
-    result = spec.execute(
-        JobContext(handle, service=services, emitter=emitter)
-    )
-    return IsolatedOutcome(
-        result=result, events=tap.events, metrics=services.metrics.dump(),
-    )
-
-
 class JobEngine:
     """Executes submitted jobs on a bounded worker pool."""
 
@@ -135,7 +61,6 @@ class JobEngine:
         queue_limit: int = 64,
         metrics: Optional[MetricsRegistry] = None,
         service: Optional[Any] = None,
-        executor: str = "thread",
         dispatch: str = "fifo",
         admission: Optional[DeadlineAdmission] = None,
     ) -> None:
@@ -143,10 +68,6 @@ class JobEngine:
             raise JobError(f"need at least one worker, got {workers}")
         if queue_limit < 1:
             raise JobError(f"queue limit must be >= 1: {queue_limit}")
-        if executor not in ("thread", "process"):
-            raise JobError(
-                f"unknown executor {executor!r}; use 'thread' or 'process'"
-            )
         if dispatch not in DISPATCH_ORDERS:
             raise JobError(
                 f"unknown dispatch order {dispatch!r}; use one of "
@@ -154,7 +75,6 @@ class JobEngine:
             )
         self.workers = workers
         self.queue_limit = queue_limit
-        self.executor = executor
         self.dispatch = dispatch
         #: deadline-aware admission predicate (None = admit everything
         #: the bounded queue accepts); its EMA cost model is calibrated
@@ -173,7 +93,6 @@ class JobEngine:
         self._ids = itertools.count(1)
         self._closed = False
         self._lock = threading.Lock()
-        self._pool = None  # lazy ProcessPoolExecutor
         self._threads: List[threading.Thread] = []
         for index in range(workers):
             thread = threading.Thread(
@@ -287,118 +206,9 @@ class JobEngine:
 
         handle.state = JobState.RUNNING
         handle.started_at = time.monotonic()
-        emitter.emit(STATE, state=JobState.RUNNING.value)
         ctx = JobContext(handle, service=self.service, emitter=emitter)
-        spec = handle.spec
-        attempt = 0
-        while True:
-            handle.attempts = attempt + 1
-            try:
-                if self.executor == "process":
-                    result = self._run_isolated(handle)
-                else:
-                    result = spec.execute(ctx)
-            except JobCancelledError:
-                self._finalise(handle, emitter, JobState.CANCELLED)
-                return
-            except JobTimeoutError:
-                self._finalise(handle, emitter, JobState.TIMEOUT)
-                return
-            except TransientJobError as exc:
-                if attempt >= spec.retries:
-                    self._finalise(
-                        handle, emitter, JobState.FAILED, error=exc,
-                    )
-                    return
-                self.metrics.counter("jobs.retries").inc()
-                emitter.emit(
-                    STATE, state="retrying", attempt=attempt + 1,
-                    error=str(exc),
-                )
-                if not self._backoff_wait(handle, attempt):
-                    # cancelled or deadline-expired during backoff
-                    state = (
-                        JobState.CANCELLED if handle.cancel_requested
-                        else JobState.TIMEOUT
-                    )
-                    self._finalise(handle, emitter, state)
-                    return
-                attempt += 1
-                continue
-            except BaseException as exc:
-                self._finalise(handle, emitter, JobState.FAILED, error=exc)
-                return
-            self._finalise(handle, emitter, JobState.DONE, result=result)
-            return
-
-    def _backoff_wait(self, handle: JobHandle, attempt: int) -> bool:
-        """Sleep ``backoff * 2**attempt``, honouring cancel/deadline.
-        Returns False if the job should stop instead of retrying."""
-        delay = handle.spec.backoff * (2 ** attempt)
-        deadline_at = handle.deadline_at
-        wake_at = time.monotonic() + delay
-        while True:
-            now = time.monotonic()
-            if handle.cancel_requested:
-                return False
-            if deadline_at is not None and now > deadline_at:
-                return False
-            if now >= wake_at:
-                return True
-            time.sleep(min(0.01, wake_at - now))
-
-    def _run_isolated(self, handle: JobHandle) -> Any:
-        """Execute in a process pool (hard isolation, picklable specs).
-
-        The pool spawns its workers: this process runs the engine's
-        worker threads, and a fork taken while they hold a lock
-        deadlocks the child."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FutureTimeout
-
-        with self._lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                )
-            pool = self._pool
-        try:
-            future = pool.submit(
-                _execute_isolated, handle.spec, handle.attempts,
-                handle.id,
-                getattr(self.service, "default_opt_level", 0) or 0,
-            )
-        except Exception as exc:  # unpicklable spec, broken pool
-            raise JobError(
-                f"could not dispatch job {handle.id} to the process "
-                f"pool: {exc}"
-            ) from exc
-        deadline_at = handle.deadline_at
-        timeout = (
-            None if deadline_at is None
-            else max(0.0, deadline_at - time.monotonic())
-        )
-        try:
-            outcome = future.result(timeout=timeout)
-        except FutureTimeout:
-            future.cancel()
-            raise JobTimeoutError(
-                f"job {handle.id} exceeded its deadline in the process "
-                "pool"
-            ) from None
-        # replay the worker's telemetry onto the real channel and fold
-        # its metrics into the service registry — before this, events
-        # emitted inside a process worker were silently dropped
-        for event in outcome.events:
-            try:
-                handle.channel.push(event)
-            except Exception:
-                break
-        if outcome.metrics:
-            self.metrics.merge(outcome.metrics)
-        return outcome.result
+        state, result, error = run_attempts(handle.spec, ctx, self.metrics)
+        self._finalise(handle, emitter, state, result=result, error=error)
 
     def _finalise(
         self,
@@ -465,10 +275,6 @@ class JobEngine:
         if wait:
             for thread in self._threads:
                 thread.join(timeout=30.0)
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait)
 
     def __enter__(self) -> "JobEngine":
         return self
@@ -479,6 +285,5 @@ class JobEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"JobEngine(workers={self.workers}, "
-            f"queued={self._queue.qsize()}/{self.queue_limit}, "
-            f"executor={self.executor!r})"
+            f"queued={self._queue.qsize()}/{self.queue_limit})"
         )

@@ -4,20 +4,22 @@ A *job* is one unit of simulation work submitted to the
 :class:`~repro.service.engine.JobEngine`: a single hybrid-model run, a
 vectorised batch sweep, or a code-generation request.  Specs are plain
 descriptions (factories + parameters, no live runtime objects) so they
-can be queued, retried, and — when picklable — shipped to a worker
-process for isolation.
+can be queued and retried; a cluster worker process builds the same
+specs from a plain request (:func:`~repro.cluster.requests.build_spec`).
 
-Execution protocol: the engine calls :meth:`JobSpec.execute` with a
-:class:`JobContext`.  Long-running jobs call :meth:`JobContext.checkpoint`
-at natural pause points (between batch chunks, between major-step slices);
-that is where cancellation and deadlines take effect — cooperatively, so
-a worker slot is always released in a well-defined state rather than
-killed mid-NumPy-call.  Progress and partial trajectories go out through
+Execution protocol: :func:`run_attempts` calls :meth:`JobSpec.execute`
+with a :class:`JobContext` once per attempt; the engine's worker threads
+and the cluster's worker processes both run their jobs through it.
+Long-running jobs call :meth:`JobContext.checkpoint` at natural pause
+points (between batch chunks, between major-step slices); that is where
+cancellation and deadlines take effect — cooperatively, so a worker slot
+is always released in a well-defined state rather than killed
+mid-NumPy-call.  Progress and partial trajectories go out through
 :meth:`JobContext.emit` onto the job's telemetry channel.
 
 Failure vocabulary: raise :class:`TransientJobError` for failures worth a
-bounded retry-with-backoff (the engine re-runs the spec); any other
-exception fails the job permanently.  :class:`ServiceOverloaded` is
+bounded retry-with-backoff (:func:`run_attempts` re-runs the spec); any
+other exception fails the job permanently.  :class:`ServiceOverloaded` is
 raised at *submit* time when the bounded queue sheds load.
 """
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional,
-    Sequence,
+    Sequence, Tuple,
 )
 
 import numpy as np
@@ -43,7 +45,8 @@ from repro.core import loop
 from repro.core.channel import Channel, ChannelPolicy
 from repro.core.network import FlatNetwork
 from repro.service.telemetry import (
-    BACKEND, CHUNK, EventEmitter, PROGRESS, RESUMED, TelemetryEvent,
+    BACKEND, CHUNK, EventEmitter, MetricsRegistry, PROGRESS, RESUMED, STATE,
+    TelemetryEvent,
 )
 from repro.solvers.registry import solver_key
 
@@ -320,6 +323,61 @@ class JobHandle:
             f"JobHandle({self.id}, {self.spec.kind}, "
             f"{self.state.value})"
         )
+
+
+# ----------------------------------------------------------------------
+# the attempt loop
+# ----------------------------------------------------------------------
+def run_attempts(
+    spec: "JobSpec", ctx: JobContext, metrics: MetricsRegistry,
+) -> Tuple[JobState, Any, Optional[BaseException]]:
+    """Run ``spec`` to a terminal state; returns ``(state, result,
+    error)``.
+
+    Emits ``running``, then executes the spec, numbering attempts on
+    from ``ctx.handle.attempts`` (a migrated cluster job arrives past
+    1), so a retried attempt resumes from the checkpoint spool.  A
+    :class:`TransientJobError` is retried up to ``spec.retries`` times:
+    each retry counts ``jobs.retries``, emits ``retrying`` and sleeps
+    ``backoff * 2**k`` first, a sleep that cancellation or the deadline
+    ends as CANCELLED or TIMEOUT.  The caller emits the terminal state.
+    """
+    handle = ctx.handle
+    first = handle.attempts or 1
+    ctx.emit(STATE, state=JobState.RUNNING.value)
+    retry = 0
+    while True:
+        handle.attempts = first + retry
+        try:
+            result = spec.execute(ctx)
+        except JobCancelledError:
+            return JobState.CANCELLED, None, None
+        except JobTimeoutError:
+            return JobState.TIMEOUT, None, None
+        except TransientJobError as exc:
+            if retry >= spec.retries:
+                return JobState.FAILED, None, exc
+            metrics.counter("jobs.retries").inc()
+            ctx.emit(
+                STATE, state="retrying", attempt=handle.attempts,
+                error=str(exc),
+            )
+        except BaseException as exc:
+            return JobState.FAILED, None, exc
+        else:
+            return JobState.DONE, result, None
+        wake_at = time.monotonic() + spec.backoff * (2 ** retry)
+        while True:
+            now = time.monotonic()
+            if handle.cancel_requested:
+                return JobState.CANCELLED, None, None
+            deadline_at = handle.deadline_at
+            if deadline_at is not None and now > deadline_at:
+                return JobState.TIMEOUT, None, None
+            if now >= wake_at:
+                break
+            time.sleep(min(0.01, wake_at - now))
+        retry += 1
 
 
 # ----------------------------------------------------------------------

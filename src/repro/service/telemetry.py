@@ -270,9 +270,8 @@ class MetricsRegistry:
 
         Counters add, gauges take the remote value (last-writer-wins —
         remote gauges describe the remote process), histograms merge
-        windows and counts.  Used by the job engine's process executor
-        and the cluster coordinator to surface worker-side metrics that
-        were previously dropped on the floor.
+        windows and counts.  The cluster coordinator folds each
+        worker's job-scoped metrics in this way.
         """
         for name, value in dump.get("counters", {}).items():
             if value:

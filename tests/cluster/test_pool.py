@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.cluster.pool import ClusterConfig, WorkerPool
 from repro.cluster.requests import (
-    ClusterError, ClusterJobRequest, ClusterRejected,
+    ClusterError, ClusterJobRequest, ClusterRejected, build_spec,
 )
-from repro.service import telemetry
+from repro.service import SimulationService, telemetry
 from repro.service.jobs import JobCancelledError, JobError
 
 
@@ -73,13 +74,23 @@ class TestExecution:
         )
 
     def test_batch_roundtrip(self, pool2):
-        handle = pool2.submit(ClusterJobRequest(
+        request = ClusterJobRequest(
             kind="batch", model="pendulum",
             params={"n": 4, "t_end": 0.2, "h": 1e-3},
             checkpoint=False,
-        ))
-        result = handle.result(timeout=60)
+        )
+        result = pool2.submit(request).result(timeout=60)
         assert result.n == 4
+        # the worker's run is the in-process run of the same spec
+        with SimulationService(workers=1) as service:
+            local = service.submit(
+                build_spec(request, "local"),
+            ).result(timeout=60)
+        assert np.array_equal(result.t, local.t)
+        assert result.series.keys() == local.series.keys()
+        for label, series in local.series.items():
+            assert np.array_equal(result.series[label], series)
+        assert np.array_equal(result.final_states, local.final_states)
 
     def test_scenario_roundtrip(self, pool2):
         handle = pool2.submit(ClusterJobRequest(
@@ -109,9 +120,16 @@ class TestExecution:
             params={"t_end": 0.3, "sync_interval": 0.05},
         ))
         handle.result(timeout=60)
-        kinds = {event.kind for event in handle.channel.drain()}
+        events = handle.channel.drain()
+        kinds = {event.kind for event in events}
         assert telemetry.PROGRESS in kinds
         assert telemetry.BACKEND in kinds
+        # the worker emits running, the coordinator the terminal state
+        states = [
+            event.payload["state"] for event in events
+            if event.kind == telemetry.STATE
+        ]
+        assert states == ["running", "done"]
 
     def test_worker_metrics_merged(self, pool2):
         before = (
@@ -185,6 +203,14 @@ class TestAdmissionControl:
             # a different client still gets in
             other = pool.submit(lag_request(client="modest"))
             other.result(timeout=60)
+
+    def test_failed_job_leaves_cost_model_alone(self, tmp_path):
+        # only DONE jobs calibrate the cost model, as on the engine
+        with WorkerPool(tmp_path, ClusterConfig(workers=1)) as pool:
+            handle = pool.submit(lag_request(model="no-such-model"))
+            with pytest.raises(JobError, match="unknown model"):
+                handle.result(timeout=60)
+            assert "single_run" not in pool.admission.cost_model.snapshot()
 
     def test_deadline_infeasible_rejected(self, tmp_path):
         with WorkerPool(tmp_path, ClusterConfig(workers=1)) as pool:

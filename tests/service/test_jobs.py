@@ -255,18 +255,3 @@ class TestValidation:
             with pytest.raises(JobError):
                 handle.result(timeout=60.0)
 
-
-class TestProcessExecutor:
-    def test_batch_job_in_process_pool_identical(self):
-        """Hard isolation: the spec ships to a worker process (no shared
-        cache, no streaming) and the result comes back identical."""
-        direct = direct_batch()
-        with SimulationService(workers=1, executor="process") as svc:
-            served = svc.submit(BatchJob(
-                diagram_factory=loop_diagram, n=N, t_end=T_END,
-                solver="rk4", h=H, records=RECORDS, sweeps=kp_sweep(),
-                deadline=60.0,
-            )).result(timeout=60.0)
-        assert np.array_equal(
-            served.series["plant.out"], direct.series["plant.out"]
-        )
