@@ -34,9 +34,9 @@ Package map
 - :mod:`repro.scenarios` — seeded scenario synthesis and
   coverage-steered differential campaigns (``python -m repro.scenarios``).
 - :mod:`repro.cluster` — the distributed service: a multi-process
-  worker pool with work stealing, a shared content-addressed
-  checkpoint/artifact store enabling bitwise live job migration, and
-  an asyncio HTTP front-end (``python -m repro.cluster``).
+  worker pool with work stealing, a shared store of job checkpoint
+  spools enabling bitwise live job migration, and an asyncio HTTP
+  front-end (``python -m repro.cluster``).
 
 Every name below is exported on use: ``import repro`` imports no
 subpackage, and ``from repro import HybridModel`` imports only what

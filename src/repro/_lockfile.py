@@ -8,8 +8,9 @@ everyone else polls until the artifact is ready.  A lock older than
 mid-build) and broken, so a dead winner never blocks the others for
 longer than that.
 
-Used by the cluster's :class:`~repro.cluster.store.ArtifactStore` and by
-the native backends' ``.so`` builds.
+Used by the native backends' ``.so`` builds
+(:mod:`repro.core.backend.native`), the one place where processes that
+share a directory must build an artifact once.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """repro.cluster — sharded multi-worker simulation service.
 
 A :class:`WorkerPool` of OS processes executes the service's job specs
-behind work-stealing deques; a filesystem :class:`ArtifactStore` gives
-every worker the same content-addressed view of checkpoints and
-compiled artifacts (which is what makes live job migration after a
-worker SIGKILL bitwise-safe); :class:`ClusterHTTPServer` and
-:class:`ClusterClient` put the whole thing behind a stdlib HTTP API.
+behind work-stealing deques; a filesystem :class:`ArtifactStore` holds
+every job's checkpoint spool where any worker can read it (which is
+what makes live job migration after a worker SIGKILL bitwise-safe);
+:class:`ClusterHTTPServer` and :class:`ClusterClient` put the whole
+thing behind a stdlib HTTP API.
 
 See ``python -m repro.cluster --help`` for the CLI, and DESIGN.md §12
 for the architecture.  The names below load on use, so a worker process
@@ -27,10 +27,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "ClusterError", "ClusterJobRequest", "ClusterRejected",
         "register_model", "registered_models", "resolve_model",
     ),
-    "repro.cluster.store": (
-        "ArtifactCorruptError", "ArtifactStore", "ArtifactStoreError",
-        "decode_artifact", "encode_artifact",
-    ),
+    "repro.cluster.store": ("ArtifactStore",),
 })
 
 if TYPE_CHECKING:
@@ -45,7 +42,4 @@ if TYPE_CHECKING:
         ClusterError, ClusterJobRequest, ClusterRejected, register_model,
         registered_models, resolve_model,
     )
-    from repro.cluster.store import (
-        ArtifactCorruptError, ArtifactStore, ArtifactStoreError,
-        decode_artifact, encode_artifact,
-    )
+    from repro.cluster.store import ArtifactStore

@@ -22,11 +22,10 @@ state that ties them together:
 
 * **Live migration.**  A monitor thread watches worker liveness.  When
   a worker dies (crash or SIGKILL) holding a job, the coordinator
-  harvests the job's spool into the store's content-address index and
   re-enqueues the envelope with ``attempt + 1`` — the receiving worker
-  resumes from the newest CRC-valid checkpoint in the shared store,
-  bitwise-identically for fixed-step plans.  Dead workers are respawned
-  to keep capacity constant.
+  resumes from the newest CRC-valid checkpoint in the job's spool in
+  the shared store, bitwise-identically for fixed-step plans.  Dead
+  workers are respawned to keep capacity constant.
 
 Telemetry from workers is forwarded live onto each job's coordinator
 channel (the same :class:`~repro.core.channel.Channel` the HTTP layer
@@ -595,13 +594,6 @@ class WorkerPool:
         envelope = self._envelopes.get(job_id)
         if handle is None or handle.state.terminal or envelope is None:
             return
-        # harvest the spool into the content-address index so the
-        # resumable checkpoint is discoverable by fingerprint
-        fingerprint = None
-        try:
-            fingerprint = self.store.index_job(job_id)
-        except OSError:
-            pass
         if handle.migrations >= self.config.max_migrations:
             self._finish_job(
                 handle, JobState.FAILED,
@@ -616,15 +608,20 @@ class WorkerPool:
         handle.worker = None
         self.migrations_total += 1
         self.metrics.counter("cluster.migrations").inc()
-        resumed = self.store.latest_checkpoint(job_id)
+        payload = {
+            "from_worker": dead_worker,
+            "migration": handle.migrations,
+            "fingerprint": None,
+            "resume_step": None,
+        }
+        # the newest valid checkpoint, where the next attempt resumes
+        latest = self.store.latest_checkpoint(job_id)
+        if latest is not None:
+            payload["fingerprint"] = latest[1].fingerprint
+            payload["resume_step"] = latest[1].step
         handle.channel.push(TelemetryEvent(
             kind=telemetry.MIGRATED, job_id=job_id, seq=-1, t=float("nan"),
-            payload={
-                "from_worker": dead_worker,
-                "migration": handle.migrations,
-                "fingerprint": fingerprint,
-                "resume_step": None if resumed is None else resumed[1].step,
-            },
+            payload=payload,
         ))
         replacement = JobEnvelope(
             job_id=job_id, request=envelope.request,
@@ -648,6 +645,10 @@ class WorkerPool:
 
     def status(self) -> Dict[str, Any]:
         """A JSON-shaped pool snapshot (what ``GET /status`` serves)."""
+        # the store listing grows with every job the store has held:
+        # take it outside the lock that dispatch, completion and
+        # migration wait on
+        store = self.store.stats()
         with self._lock:
             states: Dict[str, int] = {}
             for handle in self._jobs.values():
@@ -672,7 +673,7 @@ class WorkerPool:
                 "steals": self.steals,
                 "migrations": self.migrations_total,
                 "cost_model": self.admission.cost_model.snapshot(),
-                "store": self.store.stats(),
+                "store": store,
             }
 
     def drain(self, timeout: float = 60.0) -> bool:

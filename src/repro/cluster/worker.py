@@ -219,13 +219,6 @@ def _run_envelope(
         return state, None, "".join(
             traceback.format_exception_only(type(error), error)
         ).strip()
-    if state is JobState.DONE:
-        # harvest the fingerprint into the content-address index while
-        # the spool is fresh (a no-op when checkpointing was off)
-        try:
-            store.index_job(job_id)
-        except OSError:
-            pass
     return state, result, None
 
 

@@ -40,7 +40,6 @@ the whole run, and its chunks are views of that buffer.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 from typing import (
@@ -264,22 +263,9 @@ def _render_program(model: Any) -> str:
 
 
 _shared_program_cache = None
-_batch_cache_metrics = None
 
-#: default LRU capacity of :func:`shared_program_cache`
-#: (``$REPRO_BATCH_CACHE_CAP`` overrides)
-DEFAULT_PROGRAM_CACHE_CAP = 64
-
-
-def batch_cache_metrics():
-    """The metrics registry the shared program cache reports into
-    (``batch.cache_evicted`` plus the standard ``cache.*`` counters)."""
-    global _batch_cache_metrics
-    if _batch_cache_metrics is None:
-        from repro.service.telemetry import MetricsRegistry
-
-        _batch_cache_metrics = MetricsRegistry()
-    return _batch_cache_metrics
+#: LRU capacity of :func:`shared_program_cache`
+PROGRAM_CACHE_CAP = 64
 
 
 def shared_program_cache():
@@ -293,33 +279,20 @@ def shared_program_cache():
     ``repro.core`` importable without ``repro.service``.
 
     LRU-bounded: long campaigns churn through thousands of distinct
-    scenario plans, so residency is capped
-    (``$REPRO_BATCH_CACHE_CAP``, default
-    :data:`DEFAULT_PROGRAM_CACHE_CAP`) and every eviction increments
-    the ``batch.cache_evicted`` counter on :func:`batch_cache_metrics`.
+    scenario plans, so residency is capped at
+    :data:`PROGRAM_CACHE_CAP` programs; the cache counts its own
+    ``evictions``.
     """
     global _shared_program_cache
     if _shared_program_cache is None:
         from repro.service.cache import PlanCache
 
-        raw = os.environ.get("REPRO_BATCH_CACHE_CAP", "").strip()
-        try:
-            capacity = int(raw) if raw else DEFAULT_PROGRAM_CACHE_CAP
-        except ValueError:
-            capacity = DEFAULT_PROGRAM_CACHE_CAP
-        registry = batch_cache_metrics()
-        _shared_program_cache = PlanCache(
-            capacity=max(1, capacity),
-            metrics=registry,
-            on_evict=lambda key: registry.counter(
-                "batch.cache_evicted"
-            ).inc(),
-        )
+        _shared_program_cache = PlanCache(capacity=PROGRAM_CACHE_CAP)
     return _shared_program_cache
 
 
 def reset_shared_program_cache() -> None:
-    """Drop the process-wide program cache (tests / cap reconfig)."""
+    """Drop the process-wide program cache (tests)."""
     global _shared_program_cache
     _shared_program_cache = None
 
@@ -537,12 +510,12 @@ def batch_program(
 
     if cache is False:
         return compile_program()
-    store = shared_program_cache() if cache is None else cache
+    programs = shared_program_cache() if cache is None else cache
     key = batch_program_cache_key(
         diagram, records=records, sweep_paths=sweep_paths,
         opt_config=config, native=native,
     )
-    return store.get_or_compile(key, compile_program)
+    return programs.get_or_compile(key, compile_program)
 
 
 class BatchSimulator:

@@ -10,9 +10,8 @@ is the property the whole campaign rig leans on: a failing scenario is
 Four families:
 
 * :func:`synth_dag` — random acyclic diagrams over the emitter-
-  supported block grammar (moved here from ``repro.core.opt.synth``,
-  which keeps a deprecation alias).  ``sampled=True`` mixes in
-  zero-order holds and unit delays.
+  supported block grammar.  ``sampled=True`` mixes in zero-order holds
+  and unit delays.
 * :func:`synth_feedback` — the same DAG grammar plus seeded feedback
   loops, each broken by a non-feedthrough block (integrator or lag) so
   the diagram stays legal under W12/STR001.

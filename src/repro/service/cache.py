@@ -58,15 +58,10 @@ class PlanCache:
         self,
         capacity: int = 128,
         metrics: Optional[MetricsRegistry] = None,
-        on_evict: Optional[Callable[[str], None]] = None,
     ) -> None:
         if capacity < 1:
             raise CacheError(f"cache capacity must be >= 1: {capacity}")
         self.capacity = capacity
-        #: called with the evicted key on every LRU eviction (capacity
-        #: pressure only, not explicit invalidation); used by callers
-        #: that count evictions under their own metric name
-        self._on_evict = on_evict
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self._inflight: Dict[str, _Inflight] = {}
@@ -165,11 +160,9 @@ class PlanCache:
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
-            evicted, __ = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.evictions += 1
             self._count("cache.evictions")
-            if self._on_evict is not None:
-                self._on_evict(evicted)
 
     def _count(self, name: str) -> None:
         # caller holds the lock; registry counters have their own lock

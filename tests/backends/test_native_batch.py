@@ -30,7 +30,6 @@ from repro.core.backend import (
 from repro.core.backend.nativebatch import shard_bounds
 from repro.core.batch import (
     BatchSimulator,
-    batch_cache_metrics,
     merge_chunks,
     reset_shared_program_cache,
     shared_program_cache,
@@ -447,12 +446,9 @@ class TestArtifactAndFallback:
 # ----------------------------------------------------------------------
 class TestProgramCacheCap:
     def test_cap_evicts_and_counts(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_CACHE_CAP", "2")
+        monkeypatch.setattr("repro.core.batch.PROGRAM_CACHE_CAP", 2)
         reset_shared_program_cache()
         try:
-            before = batch_cache_metrics().counter(
-                "batch.cache_evicted"
-            ).value
             cache = shared_program_cache()
             assert cache.capacity == 2
             for amplitude in (1.0, 2.0, 3.0):
@@ -462,16 +458,13 @@ class TestProgramCacheCap:
                 d.connect("u.out", "plant.in")
                 BatchSimulator(d, n=2, solver="rk4", h=H)
             assert len(cache) == 2
-            after = batch_cache_metrics().counter(
-                "batch.cache_evicted"
-            ).value
-            assert after == before + 1
+            assert shared_program_cache().evictions == 1
         finally:
             reset_shared_program_cache()
 
     def test_reset_rebuilds_with_default_cap(self):
         reset_shared_program_cache()
         try:
-            assert shared_program_cache().capacity >= 1
+            assert shared_program_cache().capacity == 64
         finally:
             reset_shared_program_cache()

@@ -288,6 +288,21 @@ class TestSingleFlight:
         assert second == (first[0], True)
         assert len(counting_cc.runs()) == 1
 
+    def test_orphaned_lock_is_broken(
+        self, tmp_path, counting_cc, monkeypatch,
+    ):
+        import repro.core.backend.native as native
+
+        monkeypatch.setattr(native, "LOCK_STALE_S", 0.0)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        so = so_for(SOURCE, cache)
+        # the builder that took the lock was killed before its .so landed
+        so.with_suffix(".lock").write_text("4242 0.0\n")
+        assert build_artifact(SOURCE, cache) == (so, False)
+        assert len(counting_cc.runs()) == 1
+        assert leftovers(cache) == []
+
     def test_prefetch_then_compile_runs_gcc_once(
         self, tmp_path, counting_cc,
     ):

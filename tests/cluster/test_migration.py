@@ -69,10 +69,13 @@ class TestMigration:
             assert counters["cluster.migrations"] == 1
             assert counters["cluster.worker_deaths"] == 1
             assert counters["jobs.resumed"] == 1
-            # the dead worker's spool was harvested into the CAS index
-            meta = pool.store.read_meta(handle.id)
-            assert meta.get("fingerprint")
-            assert handle.id in pool.store.jobs_for(meta["fingerprint"])
+            # the migration names the checkpoint the next attempt resumed
+            [migrated] = [e for e in events if e.kind == telemetry.MIGRATED]
+            __, newest = pool.store.latest_checkpoint(handle.id)
+            assert migrated.payload["fingerprint"] == newest.fingerprint
+            assert migrated.payload["resume_step"] == (
+                resumed[0].payload["step"]
+            )
 
         assert_bitwise(reference, result)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -114,6 +115,29 @@ class TestExecution:
         status = pool2.status()
         done_per_worker = [w["jobs_done"] for w in status["workers"]]
         assert all(count > 0 for count in done_per_worker)
+
+    def test_status_lists_the_store_outside_the_pool_lock(
+        self, pool2, monkeypatch,
+    ):
+        # the store listing grows with every job ever run; dispatch,
+        # completion and migration must not wait for it
+        acquired = []
+
+        def probe():
+            if pool2._lock.acquire(timeout=2.0):
+                pool2._lock.release()
+                acquired.append(True)
+
+        def stats():
+            thread = threading.Thread(target=probe)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            return {"jobs": 0}
+
+        monkeypatch.setattr(pool2.store, "stats", stats)
+        assert pool2.status()["store"] == {"jobs": 0}
+        assert acquired == [True]
 
     def test_worker_events_forwarded(self, pool2):
         handle = pool2.submit(lag_request(

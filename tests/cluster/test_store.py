@@ -1,104 +1,15 @@
-"""ArtifactStore: framing, CAS semantics, spools, corruption handling."""
+"""ArtifactStore: job spools and their corruption handling."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.cluster.store import (
-    ArtifactCorruptError,
-    ArtifactStore,
-    ArtifactStoreError,
-    decode_artifact,
-    encode_artifact,
-)
+from repro.cluster.store import ArtifactStore
 from repro.resilience.codec import SNAPSHOT_VERSION, Snapshot, encode_snapshot
 
 
-class TestArtifactFraming:
-    def test_roundtrip(self):
-        value = {"plan": [1, 2, 3], "name": "x"}
-        assert decode_artifact(encode_artifact(value)) == value
-
-    def test_truncation_detected(self):
-        data = encode_artifact(list(range(100)))
-        with pytest.raises(ArtifactCorruptError):
-            decode_artifact(data[:-3])
-
-    def test_flipped_byte_detected(self):
-        data = bytearray(encode_artifact("payload"))
-        data[-1] ^= 0xFF
-        with pytest.raises(ArtifactCorruptError):
-            decode_artifact(bytes(data))
-
-    def test_bad_header_detected(self):
-        with pytest.raises(ArtifactCorruptError):
-            decode_artifact(b"NOTANART 00000000 3\nabc")
-
-
-class TestGetOrCompile:
-    def test_compiles_once_then_hits(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return {"compiled": True}
-
-        first = store.get_or_compile("plan-abc", factory)
-        second = store.get_or_compile("plan-abc", factory)
-        assert first == second == {"compiled": True}
-        assert len(calls) == 1
-        assert store.compiles == 1
-        assert store.artifact_hits == 1
-
-    def test_distinct_keys_compile_separately(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        a = store.get_or_compile("key-a", lambda: "A")
-        b = store.get_or_compile("key-b", lambda: "B")
-        assert (a, b) == ("A", "B")
-        assert store.compiles == 2
-
-    def test_corrupt_resident_artifact_recompiled(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.get_or_compile("key", lambda: "good")
-        path = store._artifact_path("key")
-        path.write_bytes(b"REPROART deadbeef 4\ngarb")
-        value = store.get_or_compile("key", lambda: "fresh")
-        assert value == "fresh"
-        assert store.corrupt_dropped >= 1
-
-    def test_stale_lock_broken(self, tmp_path):
-        store = ArtifactStore(
-            tmp_path, compile_timeout=5.0, lock_stale_after=0.0,
-        )
-        lock = store._artifact_path("key").with_suffix(".lock")
-        lock.write_text("dead-pid\n")  # an orphan from a SIGKILLed owner
-        assert store.get_or_compile("key", lambda: 42) == 42
-
-    def test_live_lock_times_out(self, tmp_path):
-        store = ArtifactStore(
-            tmp_path, compile_timeout=0.2, lock_stale_after=60.0,
-        )
-        lock = store._artifact_path("key").with_suffix(".lock")
-        lock.write_text("held\n")
-        with pytest.raises(ArtifactStoreError, match="timed out"):
-            store.get_or_compile("key", lambda: 42)
-
-    def test_bad_timeout_rejected(self, tmp_path):
-        with pytest.raises(ArtifactStoreError):
-            ArtifactStore(tmp_path, compile_timeout=0.0)
-
-    def test_key_sanitised_and_sharded(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        path = store._artifact_path("a/b:c d")
-        assert path.parent.parent == store.artifacts_dir
-        assert "/" not in path.name and ":" not in path.name
-
-
-def _write_checkpoint(store, job_id, step, fingerprint="fp-1"):
+def _write_checkpoint(store, job_id, step):
     spool = store.job_spool(job_id)
     snapshot = Snapshot(
-        version=SNAPSHOT_VERSION, fingerprint=fingerprint,
+        version=SNAPSHOT_VERSION, fingerprint="fp-1",
         t=step * 0.01, step=step, kind="hybrid",
         payload={"threads": []},
     )
@@ -126,20 +37,12 @@ class TestJobSpools:
         assert snapshot.step == 20
         assert store.corrupt_dropped == 1
 
-    def test_index_job_builds_cas_marker(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        _write_checkpoint(store, "job-1", 40, fingerprint="fp-xyz")
-        assert store.index_job("job-1") == "fp-xyz"
-        assert store.jobs_for("fp-xyz") == ["job-1"]
-        meta = store.read_meta("job-1")
-        assert meta["fingerprint"] == "fp-xyz"
-        assert meta["last_step"] == 40
-
-    def test_index_empty_spool_is_none(self, tmp_path):
+    def test_no_checkpoint_is_none(self, tmp_path):
         store = ArtifactStore(tmp_path)
         store.job_spool("job-empty")
-        assert store.index_job("job-empty") is None
-        assert store.jobs_for("anything") == []
+        assert store.latest_checkpoint("job-empty") is None
+        assert store.latest_checkpoint("job-unknown") is None
+        assert store.job_ids() == ["job-empty"]
 
     def test_job_ids_listed(self, tmp_path):
         store = ArtifactStore(tmp_path)

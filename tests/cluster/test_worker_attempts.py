@@ -6,6 +6,8 @@ under test through a patched ``build_spec``.  Whatever the worker runs,
 it must end the way a :class:`~repro.service.engine.JobEngine` thread
 ends the same spec: a deadline that falls during a retry's backoff ends
 the job TIMEOUT, and an injected crash resumes from the store's spool.
+A finished job leaves its checkpoint spool in the store and nothing
+else.
 """
 
 from __future__ import annotations
@@ -122,3 +124,19 @@ def test_injected_crash_resumes_from_the_store_spool(tmp_path, monkeypatch):
     for name, want in reference.probes.items():
         assert np.array_equal(result.probes[name].times, want.times)
         assert np.array_equal(result.probes[name].states, want.states)
+
+
+def test_a_checkpointed_job_leaves_only_its_spool(tmp_path):
+    store = ArtifactStore(tmp_path)
+    state, __, error, __, __ = run(
+        worker.JobEnvelope("job-c", cruise_request(), epoch=1), store,
+    )
+    assert state is JobState.DONE, error
+    assert store.checkpoints("job-c")
+    spool = "jobs/job-c/spool"
+    paths = sorted(
+        path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")
+    )
+    assert [p for p in paths if not p.startswith(spool + "/")] == [
+        "jobs", "jobs/job-c", spool,
+    ]
