@@ -25,9 +25,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.analysis.coverage": (
         "CoverageReport", "coverage_of", "render_coverage",
     ),
-    "repro.analysis.experiments": (
-        "SweepRun", "best_run", "grid_points", "render_sweep", "sweep",
-    ),
     "repro.analysis.trace": ("DispatchRecord", "MessageTrace"),
     "repro.analysis.schedulability": (
         "CriticalSection", "PartitionResult", "RTAResult",
@@ -56,13 +53,6 @@ if TYPE_CHECKING:
         CoverageReport,
         coverage_of,
         render_coverage,
-    )
-    from repro.analysis.experiments import (
-        SweepRun,
-        best_run,
-        grid_points,
-        render_sweep,
-        sweep,
     )
     from repro.analysis.trace import DispatchRecord, MessageTrace
     from repro.analysis.schedulability import (
