@@ -77,7 +77,6 @@ __getattr__, __dir__, _LAZY = lazy_exports(__name__, {
     "repro.core.streamer": ("Streamer",),
     "repro.core.thread": ("StreamerThread",),
     "repro.core.timeservice": ("ContinuousTime",),
-    "repro.core.validation": ("validate_model",),
     "repro.umlrt.capsule": ("Capsule",),
     "repro.umlrt.controller": ("Controller",),
     "repro.umlrt.port": ("Port", "PortKind"),
@@ -90,13 +89,15 @@ __getattr__, __dir__, _LAZY = lazy_exports(__name__, {
     "repro.service": ("SimulationService",),
     "repro.service.cache": ("PlanCache",),
     "repro.service.jobs": (
-        "BatchJob", "ChecksFailedError", "CodegenJob", "JobHandle",
-        "JobState", "ServiceOverloaded", "SingleRunJob",
+        "BatchJob", "CodegenJob", "JobHandle", "JobState",
+        "ServiceOverloaded", "SingleRunJob",
     ),
     "repro.service.telemetry": ("MetricsRegistry",),
     "repro.check.diagnostics": ("Diagnostic", "FixIt"),
     "repro.check.registry": ("CheckConfig",),
-    "repro.check.runner": ("CheckResult", "autofix", "run_checks"),
+    "repro.check.runner": (
+        "CheckResult", "ChecksFailedError", "autofix", "run_checks",
+    ),
     "repro.resilience.checkpoint": ("CheckpointManager",),
     "repro.resilience.codec": (
         "FingerprintMismatchError", "Snapshot", "SnapshotCodec",
@@ -111,7 +112,9 @@ if TYPE_CHECKING:
     from repro import cluster, scenarios
     from repro.check.diagnostics import Diagnostic, FixIt
     from repro.check.registry import CheckConfig
-    from repro.check.runner import CheckResult, autofix, run_checks
+    from repro.check.runner import (
+        CheckResult, ChecksFailedError, autofix, run_checks,
+    )
     from repro.core.backend.base import (
         BackendProgram, CompileRequest, ExecutionBackend,
         available_backends, compile_program,
@@ -134,7 +137,6 @@ if TYPE_CHECKING:
     from repro.core.streamer import Streamer
     from repro.core.thread import StreamerThread
     from repro.core.timeservice import ContinuousTime
-    from repro.core.validation import validate_model
     from repro.resilience.checkpoint import CheckpointManager
     from repro.resilience.codec import (
         FingerprintMismatchError, Snapshot, SnapshotCodec, SnapshotError,
@@ -143,8 +145,8 @@ if TYPE_CHECKING:
     from repro.service import SimulationService
     from repro.service.cache import PlanCache
     from repro.service.jobs import (
-        BatchJob, ChecksFailedError, CodegenJob, JobHandle, JobState,
-        ServiceOverloaded, SingleRunJob,
+        BatchJob, CodegenJob, JobHandle, JobState, ServiceOverloaded,
+        SingleRunJob,
     )
     from repro.service.telemetry import MetricsRegistry
     from repro.solvers.ivp import integrate

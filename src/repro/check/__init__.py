@@ -6,13 +6,16 @@ delay-free algebraic cycles with their full path, dead blocks, unread
 outputs, constant-foldable subgraphs, unreachable states, overlapping
 triggers, leaked timers, cross-thread races, infeasible deadlines — and
 reports them as :class:`Diagnostic` records with stable codes, optional
-machine-applicable fix-its and three surfaces:
+machine-applicable fix-its and four surfaces:
 
 * **library** — ``run_checks(model_or_plan)`` → :class:`CheckResult`;
 * **CLI** — ``python -m repro.check examples/*.py --fail-on=error``;
 * **service gate** — ``SimulationService(check_policy="enforce")``
   rejects defective jobs at submission with ``checks.failed`` metrics
-  and a ``checks`` telemetry event.
+  and a ``checks`` telemetry event;
+* **model validation** — ``HybridModel.validate`` runs the ``W`` rules
+  and STR001 before every run; in strict mode it raises the gate's
+  :class:`ChecksFailedError`.
 
 Rule codes and what they enforce are catalogued in DESIGN.md §8.
 """
@@ -40,7 +43,9 @@ from repro.check.registry import (
     meets_threshold,
 )
 from repro.check.context import CheckContext, CheckTargetError, build_context
-from repro.check.runner import CheckResult, autofix, run_checks
+from repro.check.runner import (
+    CheckResult, ChecksFailedError, autofix, run_checks,
+)
 
 _RULES_LOADED = False
 
@@ -64,6 +69,7 @@ __all__ = [
     "CheckContext",
     "CheckResult",
     "CheckTargetError",
+    "ChecksFailedError",
     "DEFAULT_REGISTRY",
     "Diagnostic",
     "ERROR",

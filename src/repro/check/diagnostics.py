@@ -69,12 +69,8 @@ class FixIt:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One finding of the static checker.
-
-    Field order matters: ``(code, severity, subject, message)`` mirrors
-    the legacy :class:`~repro.core.validation.Violation` so the W-rule
-    compatibility subclass can be constructed positionally.
-    """
+    """One finding of the static checker: ``(code, severity, subject,
+    message)``, plus an optional fix-it and machine-readable details."""
 
     code: str       # stable rule code, e.g. "STR001", "SM002", "W8"
     severity: str   # "info" | "warning" | "error"

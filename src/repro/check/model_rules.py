@@ -1,12 +1,13 @@
 """The W well-formedness rules (DESIGN.md §5), as registry rules.
 
-These are the twelve structural laws extracted from §2 of the paper,
-previously hard-wired into ``core/validation.py``.  They now live in the
-rule registry — same codes, same severities, same messages — and
-``validate_model`` is a thin compatibility wrapper that runs just this
-category.  Rules whose facts exist only on a full :class:`~repro.core.
-model.HybridModel` (capsule DPorts, SPort bridges, thread ownership)
-skip silently on other targets.
+These are the structural laws extracted from §2 of the paper.
+:meth:`HybridModel.validate <repro.core.model.HybridModel.validate>`
+runs this family (``select={"W", "STR001"}``) before every run.  W9 and
+W11 hold by construction and have no rule; W12, no algebraic loops, is
+enforced by the strict flatten at build time and reported statically by
+STR001 (:mod:`repro.check.plan_rules`).  Rules whose facts exist only on
+a full :class:`~repro.core.model.HybridModel` (capsule DPorts, SPort
+bridges, thread ownership) skip silently on other targets.
 """
 
 from __future__ import annotations
@@ -182,11 +183,8 @@ def check_sport_bridges(ctx: CheckContext) -> None:
       "inputs hold their initial value")
 def check_network(ctx: CheckContext) -> None:
     if ctx.network_error is not None:
-        # flattening failed outright: double driver or pad cycle (W8),
-        # or — only possible in strict mode — an algebraic loop (W12)
-        message = str(ctx.network_error)
-        code = "W12" if "algebraic" in message else "W8"
-        ctx.emit(ctx.subject, message, severity="error", code=code)
+        # flattening failed outright: a double driver or a pad cycle
+        ctx.emit(ctx.subject, str(ctx.network_error), severity="error")
         return
     if ctx.unconnected_inputs is None:
         return
@@ -224,21 +222,3 @@ def check_threads(ctx: CheckContext) -> None:
                     obj=streamer,
                 )
             seen[id(streamer)] = thread.name
-
-
-@rule("W12", "no algebraic loops (legacy code)", "model", "error",
-      "paper §2: delay-free feedthrough cycles are unsolvable by "
-      "forward propagation (detailed report: STR001)")
-def check_algebraic_compat(ctx: CheckContext) -> None:
-    # STR001 is the first-class report (full cycle path).  The W12 code
-    # is kept for the validate_model() compatibility surface and only
-    # emitted when explicitly asked for, so one loop is not reported
-    # twice under two codes in a default run.
-    if not ctx.config.w12_compat or not ctx.cycles:
-        return
-    stuck = sorted(leaf.path() for cycle in ctx.cycles for leaf in cycle)
-    ctx.emit(
-        ctx.subject,
-        "algebraic loop (W12) among direct-feedthrough streamers: "
-        + ", ".join(stuck),
-    )

@@ -108,7 +108,9 @@ class RuleRegistry:
         """The rules this config enables, in registration order.
 
         A ``select`` entry matches either the exact code or a code
-        prefix, so ``--select SCHED`` enables the whole sched family.
+        prefix, so ``--select SCHED`` enables the whole sched family:
+        each category's codes share one prefix (``W``, ``STR``, ``SM``,
+        ``THR``, ``SCHED``).
         """
         out: List[Rule] = []
         for rule in self._rules.values():
@@ -118,11 +120,6 @@ class RuleRegistry:
             ):
                 continue
             if rule.code in config.disable:
-                continue
-            if (
-                config.categories is not None
-                and rule.category not in config.categories
-            ):
                 continue
             out.append(rule)
         return out
@@ -143,8 +140,6 @@ class CheckConfig:
     disable: Set[str] = field(default_factory=set)
     #: per-code severity overrides, e.g. ``{"STR003": "error"}``
     severity: Dict[str, str] = field(default_factory=dict)
-    #: restrict to rule categories (used by the validation compat shim)
-    categories: Optional[Set[str]] = None
     #: suppression patterns: ``"CODE"`` or ``"CODE:subject-glob"``
     suppress: Set[str] = field(default_factory=set)
     #: sync interval assumed by the deadline-feasibility lint (SCHED001)
@@ -154,10 +149,6 @@ class CheckConfig:
     sched_sensitivity_margin: float = 0.2
     #: smallest constant-foldable subgraph worth reporting (STR004)
     min_fold_size: int = 2
-    #: emit the legacy W12 network diagnostic alongside STR001 (the
-    #: validation compat wrapper needs the W-code; default off so the
-    #: same loop is not reported twice under two codes)
-    w12_compat: bool = False
 
     def __post_init__(self) -> None:
         for code, level in self.severity.items():

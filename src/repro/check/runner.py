@@ -1,7 +1,7 @@
 """Running the rules: ``run_checks``, results, and auto-fixing.
 
-``run_checks(target)`` is the library surface the CLI and the service
-gate both sit on: normalise the target into a
+``run_checks(target)`` is the library surface the CLI, the service gate
+and ``HybridModel.validate`` all sit on: normalise the target into a
 :class:`~repro.check.context.CheckContext`, run every enabled rule in
 registration order, and hand back a :class:`CheckResult` — an ordered
 diagnostic list with severity accessors, a pass/fail threshold test and
@@ -24,6 +24,24 @@ from repro.check.diagnostics import (
 from repro.check.registry import (
     CheckConfig, RuleRegistry, meets_threshold,
 )
+
+
+class ChecksFailedError(Exception):
+    """Static checks found error-severity diagnostics.
+
+    Raised by a strict ``HybridModel.validate`` and by the service gate
+    under ``check_policy="enforce"``.  :attr:`subject` names what was
+    checked; :attr:`diagnostics` holds the error records.
+    """
+
+    def __init__(self, subject: str, diagnostics) -> None:
+        self.subject = subject
+        self.diagnostics = list(diagnostics)
+        lines = "\n".join(str(d) for d in self.diagnostics)
+        super().__init__(
+            f"{subject!r} rejected by static checks "
+            f"({len(self.diagnostics)} error(s)):\n{lines}"
+        )
 
 
 class CheckResult:
@@ -143,4 +161,7 @@ def autofix(
     return result
 
 
-__all__ = ["CheckContext", "CheckResult", "autofix", "run_checks"]
+__all__ = [
+    "CheckContext", "CheckResult", "ChecksFailedError", "autofix",
+    "run_checks",
+]

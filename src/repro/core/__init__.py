@@ -61,9 +61,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.hybrid": ("HybridScheduler",),
     "repro.core.model": ("HybridModel",),
     "repro.core.builder": ("ModelBuilder",),
-    "repro.core.validation": (
-        "ValidationError", "Violation", "validate_model",
-    ),
 })
 
 if TYPE_CHECKING:
@@ -93,6 +90,3 @@ if TYPE_CHECKING:
     from repro.core.hybrid import HybridScheduler
     from repro.core.model import HybridModel
     from repro.core.builder import ModelBuilder
-    from repro.core.validation import (
-        ValidationError, Violation, validate_model,
-    )

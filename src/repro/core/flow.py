@@ -7,7 +7,7 @@ node with one input pad and exactly two output pads, all sharing the
 source's flow type.
 
 Legal flow endpoints (checked here syntactically; the deeper structural
-rules live in :mod:`repro.core.validation`):
+rules live in :mod:`repro.check.model_rules`):
 
 * source: an ``OUT`` DPort, an ``IN`` boundary DPort of an enclosing
   composite (seen from inside), a relay output pad, or a capsule relay

@@ -233,10 +233,17 @@ class HybridModel:
     # validation and execution
     # ------------------------------------------------------------------
     def validate(self, strict: bool = True):
-        """Run the W-rules; returns violations (raises if strict)."""
-        from repro.core.validation import validate_model
+        """Run the W-rules and STR001; returns their diagnostics.
 
-        return validate_model(self, strict=strict)
+        Strict mode raises :class:`~repro.check.ChecksFailedError` when
+        any of them is an error.
+        """
+        from repro.check import CheckConfig, ChecksFailedError, run_checks
+
+        result = run_checks(self, CheckConfig(select={"W", "STR001"}))
+        if strict and result.errors:
+            raise ChecksFailedError(self.name, result.errors)
+        return result.diagnostics
 
     def scheduler(
         self,

@@ -5,11 +5,10 @@ dimension: each builder returns a check target (model, diagram or state
 machine) seeded with exactly the flaw one rule catches, mirroring the
 builders the checker's own tests use.  The registry maps a stable name
 to the builder, the codes it must fire and any :class:`~repro.check.
-CheckConfig` keywords the rule needs (W12 only reports under
-``w12_compat=True``).
+CheckConfig` keywords the rule needs.
 
 ``W3`` has no builder: the DPort constructor already rejects a missing
-flow type, so the rule is defensively unreachable — 26 of the 27
+flow type, so the rule is defensively unreachable — 25 of the 26
 registered codes are coverable, which is what the campaign's >= 90%
 rules bar is calibrated against.
 """
@@ -228,11 +227,6 @@ def w10_double_thread() -> HybridModel:
     return model
 
 
-def w12_compat_loop() -> HybridModel:
-    """The STR001 loop, checked with the legacy W12 code enabled."""
-    return str001_loop()
-
-
 # ----------------------------------------------------------------------
 # state-machine defects (SM001-005)
 # ----------------------------------------------------------------------
@@ -424,16 +418,11 @@ DEFECTS: Dict[str, DefectSpec] = {
     ),
     # the smuggled capsule breaks leaf enumeration in unrelated rules
     # (it is exactly the containment violation W6 exists to catch), so
-    # this one runs the model category only
-    "w6-smuggled-capsule": _spec(
-        w6_smuggled_capsule, "W6", categories={"model"}
-    ),
+    # this one runs the W rules only
+    "w6-smuggled-capsule": _spec(w6_smuggled_capsule, "W6", select={"W"}),
     "w7-unbridged-sport": _spec(w7_unbridged_sport, "W7"),
     "w8-undriven-input": _spec(w8_undriven_input, "W8"),
     "w10-double-thread": _spec(w10_double_thread, "W10"),
-    "w12-compat-loop": _spec(
-        w12_compat_loop, "STR001", "W12", w12_compat=True
-    ),
     "sm001-orphan": _spec(sm001_orphan, "SM001"),
     "sm002-shadowed": _spec(sm002_shadowed, "SM002"),
     "sm003-bad-trigger": _spec(sm003_bad_trigger, "SM003"),

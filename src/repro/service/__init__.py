@@ -41,7 +41,6 @@ from repro._lazy import lazy_exports
 from repro.service.cache import CacheError, PlanCache
 from repro.service.jobs import (
     BatchJob,
-    ChecksFailedError,
     CodegenJob,
     DeadlineInfeasible,
     JobCancelledError,
@@ -67,9 +66,11 @@ from repro.service.telemetry import (
     TelemetryEvent,
 )
 
-# the engine and admission load on use: a cluster worker imports the
-# job specs, cache and telemetry through this package and needs neither
+# the engine, admission and the checker load on use: a cluster worker
+# imports the job specs, cache and telemetry through this package and
+# needs none of them
 __getattr__, __dir__, _LAZY = lazy_exports(__name__, {
+    "repro.check.runner": ("ChecksFailedError",),
     "repro.service.admission": (
         "AdmissionDecision", "CostModel", "DeadlineAdmission",
     ),
@@ -77,6 +78,7 @@ __getattr__, __dir__, _LAZY = lazy_exports(__name__, {
 })
 
 if TYPE_CHECKING:
+    from repro.check.runner import ChecksFailedError
     from repro.service.admission import (
         AdmissionDecision,
         CostModel,
@@ -185,6 +187,8 @@ class SimulationService:
         if result.errors:
             self.metrics.counter("checks.failed").inc()
             if self.check_policy == "enforce":
+                from repro.check import ChecksFailedError
+
                 raise ChecksFailedError(spec.name, result.errors)
         else:
             self.metrics.counter("checks.passed").inc()
@@ -270,7 +274,6 @@ __all__ = [
     "BatchJob",
     "CHECK_POLICIES",
     "CacheError",
-    "ChecksFailedError",
     "CodegenJob",
     "DeadlineInfeasible",
     "Counter",

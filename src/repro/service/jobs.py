@@ -89,25 +89,6 @@ class DeadlineInfeasible(ServiceOverloaded):
     working."""
 
 
-class ChecksFailedError(JobError):
-    """The service's lint gate rejected a spec at submission.
-
-    Raised by :meth:`SimulationService.submit` under
-    ``check_policy="enforce"`` when static checks find error-severity
-    diagnostics in the job's model; :attr:`diagnostics` carries the
-    :class:`~repro.check.Diagnostic` records so callers can render or
-    machine-process the findings.
-    """
-
-    def __init__(self, spec_name: str, diagnostics) -> None:
-        self.diagnostics = list(diagnostics)
-        lines = "\n".join(str(d) for d in self.diagnostics)
-        super().__init__(
-            f"job {spec_name!r} rejected by static checks "
-            f"({len(self.diagnostics)} error(s)):\n{lines}"
-        )
-
-
 class JobCancelledError(JobError):
     """Raised by :meth:`JobHandle.result` for a cancelled job, and
     inside workers at the checkpoint that observes the cancellation."""

@@ -78,7 +78,7 @@ class TestRegistry:
             "STR001", "STR002", "STR003", "STR004", "STR005",
             "SM001", "SM002", "SM003", "SM004", "SM005",
             "THR001", "THR002", "SCHED001",
-            "W1", "W2", "W3", "W4", "W5", "W6", "W7", "W8", "W10", "W12",
+            "W1", "W2", "W3", "W4", "W5", "W6", "W7", "W8", "W10",
         ):
             assert code in codes, code
 
@@ -102,8 +102,28 @@ class TestRegistry:
         assert [r.code for r in only] == ["STR001"]
         without = registry.active(CheckConfig(disable={"STR001"}))
         assert "STR001" not in [r.code for r in without]
-        sm_only = registry.active(CheckConfig(categories={"sm"}))
+        sm_only = registry.active(CheckConfig(select={"SM"}))
         assert sm_only and all(r.category == "sm" for r in sm_only)
+
+    def test_each_category_is_one_code_prefix(self):
+        # select= matches code prefixes, so a prefix selects a category
+        # exactly when every code carries its category's prefix and no
+        # code matches a second one
+        prefixes = {
+            "model": "W", "plan": "STR", "sm": "SM", "thread": "THR",
+            "sched": "SCHED",
+        }
+        assert set(prefixes) == set(CATEGORIES)
+        registry = default_registry()
+        for category, prefix in prefixes.items():
+            active = registry.active(CheckConfig(select={prefix}))
+            assert active == [
+                r for r in registry.rules() if r.category == category
+            ], category
+        for code in registry.codes():
+            assert sum(
+                code.startswith(prefix) for prefix in prefixes.values()
+            ) == 1, code
 
 
 class TestConfig:

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.builder import ModelBuilder
+from repro.dataflow import Bias, Gain
 from repro.service import (
     CHECK_POLICIES,
     ChecksFailedError,
+    JobState,
     SimulationService,
     SingleRunJob,
 )
@@ -116,3 +119,31 @@ class TestChecksFailedError:
         assert "myjob" in text
         assert "STR001" in text
         assert error.diagnostics == result.errors
+
+
+class TestOneError:
+    """A failed strict validation and a rejected submission raise the
+    same class, whichever surface the model arrives through."""
+
+    def test_builder_rejects_a_loop(self):
+        builder = (
+            ModelBuilder("loop")
+            .streamer(Gain("a", k=0.5))
+            .streamer(Bias("b", bias=1.0))
+            .flow("a.out", "b.in")
+            .flow("b.out", "a.in")
+        )
+        with pytest.raises(ChecksFailedError, match="STR001") as info:
+            builder.build()
+        assert info.value.subject == "loop"
+        assert [d.code for d in info.value.diagnostics] == ["STR001"]
+
+    def test_validated_single_run_fails_before_it_runs(self):
+        # the gate is off: the job's own validation rejects the loop
+        with SimulationService(workers=1) as svc:
+            handle = svc.submit(SingleRunJob(
+                model_factory=loop_model, t_end=0.1,
+            ))
+            with pytest.raises(ChecksFailedError, match="STR001"):
+                handle.result(timeout=30.0)
+            assert handle.state is JobState.FAILED

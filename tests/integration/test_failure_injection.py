@@ -143,11 +143,11 @@ class TestStructuralFailures:
         b = model.add_streamer(GainLeaf("b"))
         model.add_flow(a.dport("y"), b.dport("u"))
         model.add_flow(b.dport("y"), a.dport("u"))
-        from repro.core.validation import ValidationError
+        from repro.check import ChecksFailedError
 
-        with pytest.raises(ValidationError) as excinfo:
+        with pytest.raises(ChecksFailedError) as excinfo:
             model.run(until=1.0)
-        assert "W12" in str(excinfo.value)
+        assert "STR001" in str(excinfo.value)
 
     def test_destroyed_capsule_messages_counted_not_crashed(self):
         from repro.umlrt.capsule import PartKind
