@@ -567,6 +567,14 @@ class WorkerPool:
             if self._stop.is_set():
                 break
             time.sleep(0.005)
+        # a dead worker spools nothing more: read its job's newest
+        # checkpoint here, not under the lock dispatch and completion
+        # wait on
+        read_for = slot.current
+        latest = (
+            self.store.latest_checkpoint(read_for)
+            if read_for is not None else None
+        )
         with self._lock:
             if self._slots[slot.worker_id] is not slot:
                 return  # already replaced
@@ -578,7 +586,9 @@ class WorkerPool:
             slot.current = None
             slot.hungry = False
             if job_id is not None:
-                self._migrate(job_id, slot.worker_id)
+                if job_id != read_for:
+                    latest = self.store.latest_checkpoint(job_id)
+                self._migrate(job_id, slot.worker_id, latest)
             if (
                 self.config.respawn
                 and not self._stop.is_set()
@@ -588,8 +598,14 @@ class WorkerPool:
                     slot.worker_id, old=slot,
                 )
 
-    def _migrate(self, job_id: str, dead_worker: int) -> None:
-        """Re-dispatch a dead worker's job; caller holds the lock."""
+    def _migrate(
+        self, job_id: str, dead_worker: int, latest: Optional[tuple],
+    ) -> None:
+        """Re-dispatch a dead worker's job; caller holds the lock.
+
+        ``latest`` is the job's newest valid checkpoint (``(path,
+        snapshot)`` or None), where the next attempt resumes.
+        """
         handle = self._jobs.get(job_id)
         envelope = self._envelopes.get(job_id)
         if handle is None or handle.state.terminal or envelope is None:
@@ -614,8 +630,6 @@ class WorkerPool:
             "fingerprint": None,
             "resume_step": None,
         }
-        # the newest valid checkpoint, where the next attempt resumes
-        latest = self.store.latest_checkpoint(job_id)
         if latest is not None:
             payload["fingerprint"] = latest[1].fingerprint
             payload["resume_step"] = latest[1].step

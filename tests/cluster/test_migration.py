@@ -3,6 +3,7 @@ finish bitwise-identically to an uninterrupted run."""
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -78,6 +79,45 @@ class TestMigration:
             )
 
         assert_bitwise(reference, result)
+
+    def test_checkpoint_read_outside_the_pool_lock(
+        self, tmp_path, monkeypatch,
+    ):
+        # the migration payload names the dead worker's newest
+        # checkpoint; dispatch and completion must not wait for its
+        # read and CRC decode
+        acquired = []
+        with WorkerPool(tmp_path, ClusterConfig(workers=2)) as pool:
+            read = pool.store.latest_checkpoint
+
+            def probe():
+                if pool._lock.acquire(timeout=2.0):
+                    pool._lock.release()
+                    acquired.append(True)
+                else:
+                    acquired.append(False)
+
+            def latest_checkpoint(job_id):
+                thread = threading.Thread(target=probe)
+                thread.start()
+                thread.join(timeout=10)
+                return read(job_id)
+
+            monkeypatch.setattr(
+                pool.store, "latest_checkpoint", latest_checkpoint,
+            )
+            handle = pool.submit(cruise_request())
+            wait_for_checkpoint(pool, handle)
+            pool.kill_worker(handle.worker)
+            handle.result(timeout=120)
+
+            assert handle.migrations == 1
+            [migrated] = [
+                e for e in handle.channel.drain()
+                if e.kind == telemetry.MIGRATED
+            ]
+            assert migrated.payload["resume_step"] is not None
+        assert acquired == [True]
 
     def test_migration_budget_exhausts(self, tmp_path):
         with WorkerPool(
