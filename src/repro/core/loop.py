@@ -24,21 +24,32 @@ programs — advances a cursor ``(t, x, step, cold)`` the same way:
 sync, step and record bodies through it, and
 :meth:`~repro.codegen.common.CLang.fixed_step_loop` renders the same
 loop in C.  A single :func:`step` outside a run takes the step it is
-given, unclamped.  :func:`step_count` and :func:`record_capacity` size
-chunks and record buffers.
+given, unclamped.  :func:`integrate` steps a solver the same way, with
+no records or syncs and under its own end rule (:data:`SLICE_RTOL`):
+the hybrid scheduler's slices and :func:`repro.solvers.ivp.integrate`
+step through it.
+:func:`step_count` and :func:`record_capacity` size chunks and record
+buffers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-import numpy as np
+from repro.solvers.base import RHS, StepResult, check_finite
 
-from repro.solvers.base import SolverError, non_finite
+__all__ = [
+    "EPS", "SLICE_RTOL", "check_finite", "integrate", "record_capacity",
+    "run", "step", "step_count",
+]
 
 #: the loop runs while ``t < t_end - EPS``
 EPS = 1e-12
+#: :func:`integrate` runs while ``t < t_end - SLICE_RTOL * max(1, |t_end|)``:
+#: a clock that accumulated to a few ulps below a large ``t_end`` has
+#: arrived, where :data:`EPS` would take one more step of those ulps
+SLICE_RTOL = 1e-14
 
 #: ``sync(t, x)``: the sample-and-hold update at ``t``
 Sync = Callable[[float, Any], None]
@@ -46,6 +57,10 @@ Sync = Callable[[float, Any], None]
 Advance = Callable[[float, Any, float], Tuple[float, Any]]
 #: ``outvals(t, x) -> row``: the recorded values at ``t``
 Outvals = Callable[[float, Any], Any]
+#: ``solver_step(f, t, y, h) -> StepResult``: one solver step
+SolverStep = Callable[[RHS, float, Any, float], StepResult]
+#: ``on_step(t, y, result) -> stop``: sees a step before it is taken
+OnStep = Callable[[float, Any, StepResult], bool]
 
 
 def run(
@@ -101,16 +116,37 @@ def step(
     return t, x
 
 
-def check_finite(solver: str, t: float, x: Any) -> None:
-    """Raise :class:`~repro.solvers.base.SolverError` when the state
-    ``x`` the cursor reached at ``t`` holds an inf or a NaN.
+def integrate(
+    solver_step: SolverStep,
+    f: RHS,
+    t: float,
+    y: Any,
+    t_end: float,
+    h: float,
+    adaptive: bool,
+    on_step: Optional[OnStep] = None,
+) -> Tuple[float, Any, float, int]:
+    """Step ``(t, y)`` towards ``t_end`` with ``solver_step`` on ``f``.
 
-    The interpreter's solvers check each step they take; the compiled
-    kernels step without them, so their programs check once per
-    :func:`step` and once per run, before any record is returned.
+    While ``t < t_end - SLICE_RTOL * max(1, |t_end|)``, one step of
+    ``min(h, t_end - t)``, as in :func:`run`.  An ``adaptive`` solver's
+    ``h_next`` is the next ``h``.
+    ``on_step(t, y, result)`` sees each step before the cursor takes
+    it, and stops the loop there by returning true.  Returns
+    ``(t, y, h, steps)``: the cursor reached, the step size to go on
+    with and the number of solver steps made.
     """
-    if not np.isfinite(x).all():
-        raise SolverError(non_finite(solver, t))
+    steps = 0
+    stop = t_end - SLICE_RTOL * max(1.0, abs(t_end))
+    while t < stop:
+        result = solver_step(f, t, y, h if h < t_end - t else t_end - t)
+        steps += 1
+        if on_step is not None and on_step(t, y, result):
+            break
+        t, y = result.t, result.y
+        if adaptive:
+            h = result.h_next
+    return t, y, h, steps
 
 
 def step_count(t: float, t_end: float, h: float) -> int:

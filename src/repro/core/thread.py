@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core import loop
 from repro.core.solverbinding import SolverBinding
 from repro.core.streamer import Streamer, StreamerError
 
@@ -102,7 +103,9 @@ class StreamerThread:
         edges only — cross-thread pads stay frozen during the slice).
         The global ``state`` vector is shared, but this thread only
         writes its own nodes' slices, so slices may run on real threads
-        safely.
+        safely.  The steps are :func:`repro.core.loop.integrate`'s,
+        clamped at ``t1``; an adaptive solver's last ``h_next`` is the
+        next slice's first step.
         """
         plan = self.plan
         if plan is None or not plan.nodes:
@@ -114,16 +117,11 @@ class StreamerThread:
         # Work on a private copy: the RHS only reads this thread's slices
         # (other nodes are filtered out and cross-thread pads are frozen),
         # so concurrent threads never observe each other's intermediates.
-        y = state.copy()
-        t = t0
-        while t < t1 - 1e-14 * max(1.0, abs(t1)):
-            step_h = min(self.h, t1 - t)
-            result = self.binding.step(rhs, t, y, step_h)
-            self.minor_steps += 1
-            y = result.y
-            t = result.t
-            if self.binding.solver.adaptive:
-                self.h = min(result.h_next, self.h * 5.0)
+        __, y, self.h, steps = loop.integrate(
+            self.binding.step, rhs, t0, state.copy(), t1, self.h,
+            self.binding.solver.adaptive,
+        )
+        self.minor_steps += steps
         # publish only this thread's slices back into the shared vector
         for node in plan.nodes:
             if node.hi > node.lo:

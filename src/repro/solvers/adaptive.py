@@ -12,7 +12,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.solvers.base import RHS, SolverBase, SolverError, StepResult, error_norm
+from repro.solvers.base import (
+    RHS, SolverBase, SolverError, StepResult, check_finite, error_norm,
+)
 
 # Dormand-Prince 5(4) Butcher tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -159,7 +161,7 @@ class DormandPrince45(SolverBase):
             k[i] = np.asarray(f(t + _C[i] * h, yi), dtype=float)
         y5 = y + h * (_B5 @ k)
         y4 = y + h * (_B4 @ k)
-        self._check_finite(y5, t + h, self.name)
+        check_finite(self.name, t + h, y5)
         err = error_norm(y5 - y4, y, y5, self.rtol, self.atol)
         # FSAL: k7 equals f(t+h, y5) by construction
         self._fsal = k[6]

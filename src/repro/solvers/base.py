@@ -24,6 +24,19 @@ def non_finite(solver: str, t: float) -> str:
     )
 
 
+def check_finite(solver: str, t: float, x: Any) -> None:
+    """Raise :class:`SolverError` when the state ``x`` reached at ``t``
+    holds an inf or a NaN.
+
+    The interpreter's solvers check each step they take; the compiled
+    kernels step without them, so their programs check once per
+    :func:`repro.core.loop.step` and once per run, before any record is
+    returned.
+    """
+    if not np.isfinite(x).all():
+        raise SolverError(non_finite(solver, t))
+
+
 @dataclass
 class StepResult:
     """Outcome of one solver step.
@@ -97,11 +110,6 @@ class SolverBase:
                 f"{sorted(state)} (solver is stateless)"
             )
 
-    @staticmethod
-    def _check_finite(y: np.ndarray, t: float, name: str) -> None:
-        if not np.all(np.isfinite(y)):
-            raise SolverError(non_finite(name, t))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
@@ -121,7 +129,7 @@ class FixedStepSolver(SolverBase):
         if h <= 0:
             raise SolverError(f"{self.name}: non-positive step {h}")
         y_new = self._advance(f, t, np.asarray(y, dtype=float), h)
-        self._check_finite(y_new, t + h, self.name)
+        check_finite(self.name, t + h, y_new)
         return StepResult(t=t + h, y=y_new, h_taken=h, h_next=h)
 
     def _advance(self, f: RHS, t: float, y: np.ndarray, h: float) -> np.ndarray:

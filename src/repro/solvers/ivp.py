@@ -1,9 +1,9 @@
 """High-level initial-value-problem driver.
 
 :func:`integrate` runs any solver from ``t0`` to ``t1``, recording the
-trajectory and localising zero-crossing events on the way.  Streamer
-threads use the lower-level per-step API directly (they must interleave
-with the discrete world); this driver serves standalone plant simulation,
+trajectory and localising zero-crossing events on the way.  It steps
+through :func:`repro.core.loop.integrate`, as a streamer thread's slice
+between two sync points does, and serves standalone plant simulation,
 tests and the solver benchmarks.
 """
 
@@ -14,7 +14,11 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.solvers.base import RHS, SolverBase, SolverError
+# ``repro.core.loop`` imports ``repro.solvers.base``, which loads this
+# package; a module reference resolves ``loop.integrate`` at call time,
+# whichever of the two loads first
+from repro.core import loop
+from repro.solvers.base import RHS, SolverBase, SolverError, StepResult
 from repro.solvers.events import EventOccurrence, EventSpec, ZeroCrossingDetector
 from repro.solvers.history import Trajectory
 
@@ -27,7 +31,6 @@ class IntegrationResult:
     events: List[EventOccurrence] = field(default_factory=list)
     terminated_by_event: bool = False
     steps: int = 0
-    rhs_like_steps: int = 0  # accepted + rejected attempts for adaptive
 
     @property
     def t_final(self) -> float:
@@ -76,10 +79,8 @@ def integrate(
         detector = ZeroCrossingDetector(list(events))
         detector.reset(t0, y)
     result = IntegrationResult(trajectory=trajectory)
-    t = t0
-    while t < t1 - 1e-14 * max(1.0, abs(t1)):
-        step_h = min(h, t1 - t)
-        outcome = solver.step(f, t, y, step_h)
+
+    def on_step(t: float, y: np.ndarray, outcome: StepResult) -> bool:
         result.steps += 1
         if result.steps > max_steps:
             raise SolverError(
@@ -95,9 +96,9 @@ def integrate(
             if terminal_hit is not None:
                 trajectory.append(terminal_hit.t, terminal_hit.y)
                 result.terminated_by_event = True
-                return result
-        t, y = outcome.t, outcome.y
-        trajectory.append(t, y)
-        if solver.adaptive:
-            h = outcome.h_next
+                return True
+        trajectory.append(outcome.t, outcome.y)
+        return False
+
+    loop.integrate(solver.step, f, t0, y, t1, h, solver.adaptive, on_step)
     return result

@@ -6,7 +6,10 @@ cases where the clamp, the ``record_every`` phase and the chunk cuts
 all matter, and asserts that the record times, the step count and the
 final time equal the reference stepper's, bitwise.  ``generate_c``'s
 program prints its rows at ``%.9g``, so its times are compared at that
-precision.
+precision.  The hybrid scheduler's slices and
+:func:`repro.solvers.ivp.integrate` step through
+:func:`repro.core.loop.integrate`; the last section holds them to its
+steps.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from repro.cluster.models import cruise, lag
 from repro.codegen import generate_c, generate_python
 from repro.core import loop
 from repro.core.backend import CompileRequest, compile_program
@@ -25,6 +29,7 @@ from repro.dataflow import (
     FirstOrderLag, Gain, Integrator, Ramp, Scope, Step, Sum, ZeroOrderHold,
 )
 from repro.dataflow.diagram import Diagram
+from repro.solvers import integrate, make_solver
 
 needs_cc = pytest.mark.skipif(
     not has_c_compiler(), reason="no C compiler on this host"
@@ -328,3 +333,124 @@ def test_generated_c(t_end, tmp_path):
     ).stdout.split()[1:]
     printed = [row.split(",")[0] for row in rows]
     assert printed == [f"{t:.9g}" for t in reference(t_end, 1)[0]]
+
+
+# ----------------------------------------------------------------------
+# the hybrid scheduler's slices and ivp.integrate
+# ----------------------------------------------------------------------
+HYBRID_MODELS = {"cruise": cruise, "lag": lag}
+#: the cluster models' thread step
+HYBRID_H = 0.01
+
+
+def built_thread(build, solver="rk4"):
+    """``(scheduler, thread)`` of a built capsule-free model whose one
+    streamer thread steps with ``solver``."""
+    model = build(h=HYBRID_H)
+    scheduler = model.scheduler()
+    scheduler.build()
+    thread = model.default_thread
+    thread.binding.rebind(solver)
+    return scheduler, thread
+
+
+def traced(solver_step, calls):
+    """``solver_step`` recording each step's ``(t, h, t_next, y_next)``."""
+    def step(f, t, y, h):
+        result = solver_step(f, t, y, h)
+        calls.append((t, h, result.t, result.y.copy()))
+        return result
+    return step
+
+
+def same_steps(got, want) -> bool:
+    return len(got) == len(want) and all(
+        g[:3] == w[:3] and np.array_equal(g[3], w[3])
+        for g, w in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("syncs", (1, 3, 7))
+@pytest.mark.parametrize("name", sorted(HYBRID_MODELS))
+def test_hybrid_slices_are_interpreter_runs(name, syncs):
+    """A capsule-free single-thread hybrid run is the interpreter
+    program's ``run`` from each sync point to the next, bitwise: the
+    slice clamps its last step at ``t0 + sync``, and the scheduler's
+    clock moves to that sync point itself, not to where the steps'
+    clock landed within rounding of it."""
+    build = HYBRID_MODELS[name]
+    program = compile_program(
+        CompileRequest(
+            diagram=build(h=HYBRID_H).streamers[0], solver="rk4",
+            h=HYBRID_H,
+        ),
+        "interpreter",
+    )
+    scheduler = build(h=HYBRID_H).scheduler(sync_interval=syncs * HYBRID_H)
+    reached = []
+
+    def compare(t):
+        program.run(t)
+        assert abs(program.t - t) <= loop.EPS
+        assert np.array_equal(program.x, scheduler.state), t
+        cursor = program.snapshot_state()
+        cursor["t"] = t
+        program.restore_state(cursor)
+        reached.append(t)
+
+    scheduler.on_major_step = compare
+    scheduler.run(1.0)
+    assert reached[-1] == 1.0 and len(reached) == -(-100 // syncs)
+
+
+@pytest.mark.parametrize("solver", ("rk4", "rk45"))
+def test_slice_and_ivp_take_the_loops_steps(solver):
+    scheduler, thread = built_thread(lag, solver)
+    f, y0 = thread.plan.rhs, scheduler.state.copy()
+    t0, t1, h = 0.0, 1.3, 0.07
+
+    want = []
+    reference = make_solver(solver)
+    __, y, h_next, steps = loop.integrate(
+        traced(reference.step, want), f, t0, y0.copy(), t1, h,
+        reference.adaptive,
+    )
+    assert steps == len(want) and want[-1][2] == t1
+
+    got = []
+    stepper = make_solver(solver)
+    stepper.step = traced(stepper.step, got)
+    result = integrate(f, y0, t0, t1, stepper, h)
+    assert same_steps(got, want) and result.steps == steps
+    assert same([t for t, __, __, __ in want] + [t1], result.trajectory.times)
+
+    got = []
+    thread.binding.step = traced(thread.binding.step, got)
+    thread.h = h
+    state = thread.integrate_slice(y0.copy(), t0, t1)
+    assert same_steps(got, want) and thread.minor_steps == steps
+    assert np.array_equal(state, y) and thread.h == h_next
+
+
+def test_slice_step_count_on_a_seeded_grid():
+    """A fixed-step slice takes ``step_count`` steps, give or take the
+    one the accumulated clock may add or save, and ends on ``t1`` up to
+    the slice rule's tolerance, never past it."""
+    scheduler, thread = built_thread(lag, "euler")
+    calls = []
+    thread.binding.step = traced(thread.binding.step, calls)
+    rng = np.random.default_rng(22)
+    starts = (0.0, 0.3, 7.0, 140.4, -2e3, 1e3, 16383.9, 5e4)
+    grid = [
+        (t0, h, t0 + h * rng.uniform(0.5, 40.0))
+        for t0 in starts
+        for h in 10.0 ** rng.uniform(-3.0, 0.0, size=6)
+    ]
+    assert any(abs(t1) >= 1e3 for __, __, t1 in grid)
+    for t0, h, t1 in grid:
+        del calls[:]
+        thread.h = h
+        thread.integrate_slice(scheduler.state.copy(), t0, t1)
+        assert abs(len(calls) - loop.step_count(t0, t1, h)) <= 1
+        reached = calls[-1][2]
+        assert 0.0 <= t1 - reached <= loop.SLICE_RTOL * max(1.0, abs(t1))
