@@ -55,6 +55,7 @@ from typing import (
 import numpy as np
 
 from repro._digest import sha256
+from repro.core.network import NetworkError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.network import FlatNetwork, ResolvedEdge
@@ -247,8 +248,6 @@ class ExecutionPlan:
         the default O0 the plan is the literal graph.  ``protect`` lists
         pads (probe sources) the optimizer must leave untouched.
         """
-        from repro.core.network import NetworkError
-
         order = list(network.order)
         position = {id(leaf): i for i, leaf in enumerate(order)}
         threads = dict(leaf_threads or {})
@@ -394,8 +393,6 @@ class ExecutionPlan:
 
     def node_of(self, leaf: "Streamer") -> PlanNode:
         """The node table row for ``leaf``."""
-        from repro.core.network import NetworkError
-
         node = self._node_of.get(id(leaf))
         if node is None:
             raise NetworkError(
@@ -424,8 +421,6 @@ class ExecutionPlan:
 
     def rhs(self, t: float, state: np.ndarray) -> np.ndarray:
         """Combined ODE right-hand side over the global state vector."""
-        from repro.core.network import NetworkError
-
         self.evaluate(t, state)
         dstate = np.zeros(self.state_size, dtype=float)
         for leaf, lo, hi in self._stateful:
@@ -445,8 +440,6 @@ class ExecutionPlan:
         guards: Optional[Sequence[PlanGuard]] = None,
     ) -> List[float]:
         """Evaluate guards at ``(t, state)`` (ports assumed fresh)."""
-        from repro.core.network import NetworkError
-
         chosen = self.guards if guards is None else guards
         values: List[float] = []
         cache: Dict[int, Sequence[float]] = {}
