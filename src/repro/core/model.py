@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.core.channel import ChannelPolicy
+from repro.core.channel import Channel, ChannelPolicy
 from repro.core.dport import Direction, DPort
 from repro.core.flow import Flow, Relay
 from repro.core.flowtype import FlowType
 from repro.core.hybrid import HybridScheduler
-from repro.core.sport import SPort, SPortBridge
+from repro.core.sport import SPort
 from repro.core.streamer import Streamer
 from repro.core.thread import StreamerThread
 from repro.core.timeservice import ContinuousTime
@@ -40,10 +40,65 @@ from repro.umlrt.capsule import Capsule
 from repro.umlrt.controller import Controller
 from repro.umlrt.port import Port
 from repro.umlrt.runtime import RTSystem
+from repro.umlrt.signal import Message
+from repro.umlrt.statemachine import StateMachine
 
 
 class ModelError(Exception):
     """Raised on ill-formed model construction."""
+
+
+class SPortBridge(Capsule):
+    """Hidden boundary capsule pairing one SPort with one capsule port.
+
+    The bridge owns an end port with the *same* role as the SPort — it is
+    the streamer's representative inside the discrete world — so it wires
+    to the user capsule's (conjugated) port with a plain connector.
+    Every message it receives goes onto :attr:`to_streamer`; messages the
+    streamer emits are sent out of the bridge's port by the hybrid
+    scheduler calling :meth:`flush_outbound`.
+    """
+
+    def __init__(
+        self,
+        instance_name: str,
+        sport: SPort,
+        channel_capacity: int = 64,
+        channel_policy: ChannelPolicy = ChannelPolicy.OVERWRITE,
+    ) -> None:
+        self._sport = sport  # needed by build_structure, set before super
+        self._channel_capacity = channel_capacity
+        self._channel_policy = channel_policy
+        super().__init__(instance_name)
+        self.to_streamer = Channel(
+            f"{instance_name}.to_streamer",
+            capacity=channel_capacity,
+            policy=channel_policy,
+        )
+        sport.bridge = self
+
+    def build_structure(self) -> None:
+        self.create_port("boundary", self._sport.role)
+
+    def build_behaviour(self) -> Optional[StateMachine]:
+        return None  # message handling happens in on_message
+
+    def on_message(self, message: Message) -> None:
+        if message.is_timeout():
+            return
+        self.to_streamer.push(message)
+
+    def flush_outbound(self) -> int:
+        """Send the SPort's queued outbound messages out of the boundary
+        port.  Called by the hybrid scheduler inside a discrete slice."""
+        count = 0
+        for message in self._sport.outbound:
+            self.port("boundary").send(
+                message.signal, message.data, message.priority
+            )
+            count += 1
+        self._sport.outbound.clear()
+        return count
 
 
 class Probe:

@@ -3,8 +3,8 @@
 SPorts are how streamers and capsules talk (rule W7): the capsule side is
 an ordinary UML-RT port; the streamer side is an :class:`SPort` bound to a
 protocol role.  The hybrid model bridges the two with a *boundary capsule*
-(:class:`SPortBridge`) living on the capsule's controller plus a pair of
-bounded channels crossing the thread boundary:
+(:class:`~repro.core.model.SPortBridge`) living on the capsule's
+controller plus a pair of bounded channels crossing the thread boundary:
 
 * capsule → streamer: the bridge receives the message under normal RTC
   dispatch and pushes it onto the inbound channel; the streamer's solver
@@ -23,13 +23,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, List, Optional
 
-from repro.core.channel import Channel, ChannelPolicy
-from repro.umlrt.capsule import Capsule
 from repro.umlrt.protocol import ProtocolRole
 from repro.umlrt.signal import Message, Priority
-from repro.umlrt.statemachine import StateMachine
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.model import SPortBridge
     from repro.core.streamer import Streamer
 
 
@@ -98,56 +96,3 @@ class SPort:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SPort({self.qualified_name}, role={self.role.name})"
-
-
-class SPortBridge(Capsule):
-    """Hidden boundary capsule pairing one SPort with one capsule port.
-
-    The bridge owns an end port with the *same* role as the SPort — it is
-    the streamer's representative inside the discrete world — so it wires
-    to the user capsule's (conjugated) port with a plain connector.
-    Every message it receives goes onto :attr:`to_streamer`; messages the
-    streamer emits are sent out of the bridge's port by the hybrid
-    scheduler calling :meth:`flush_outbound`.
-    """
-
-    def __init__(
-        self,
-        instance_name: str,
-        sport: SPort,
-        channel_capacity: int = 64,
-        channel_policy: ChannelPolicy = ChannelPolicy.OVERWRITE,
-    ) -> None:
-        self._sport = sport  # needed by build_structure, set before super
-        self._channel_capacity = channel_capacity
-        self._channel_policy = channel_policy
-        super().__init__(instance_name)
-        self.to_streamer = Channel(
-            f"{instance_name}.to_streamer",
-            capacity=channel_capacity,
-            policy=channel_policy,
-        )
-        sport.bridge = self
-
-    def build_structure(self) -> None:
-        self.create_port("boundary", self._sport.role)
-
-    def build_behaviour(self) -> Optional[StateMachine]:
-        return None  # message handling happens in on_message
-
-    def on_message(self, message: Message) -> None:
-        if message.is_timeout():
-            return
-        self.to_streamer.push(message)
-
-    def flush_outbound(self) -> int:
-        """Send the SPort's queued outbound messages out of the boundary
-        port.  Called by the hybrid scheduler inside a discrete slice."""
-        count = 0
-        for message in self._sport.outbound:
-            self.port("boundary").send(
-                message.signal, message.data, message.priority
-            )
-            count += 1
-        self._sport.outbound.clear()
-        return count

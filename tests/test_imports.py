@@ -185,6 +185,14 @@ class TestWorkerBoot:
                 )
         assert found == {("repro/_digest.py", "hashlib")}
 
+    def test_streamers_load_no_capsule_runtime(self):
+        # streamers never contain capsules; only the hybrid model
+        # bridges the two worlds
+        loaded = loaded_after("import repro.dataflow, repro.core.network")
+        assert loaded.isdisjoint(
+            {"repro.umlrt.capsule", "repro.umlrt.statemachine"}
+        )
+
     def test_bare_import_loads_no_subpackage(self):
         loaded = loaded_after("import repro")
         assert {m for m in loaded if m.startswith("repro")} == {
