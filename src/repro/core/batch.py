@@ -195,9 +195,11 @@ def _render_program(model: Any) -> str:
     tables = kernel_tables(model)
     held_names = [name for name, __ in tables["held"]]
     output_lines = [_vectorise(line) for line in tables["output_lines"]]
-    signals = sorted({line.split(" = ")[0] for line in output_lines})
-    sig_dict = ", ".join(f"{s!r}: {s}" for s in signals)
-    unpack = [f"{s} = sig[{s!r}]" for s in signals]
+    signals = ", ".join(
+        sorted({line.split(" = ")[0] for line in output_lines})
+    )
+    unpack = [f"{signals}, = signals(t, x)"] if signals else []
+    row = ", ".join(_vectorise(expr) for expr in tables["record_exprs"])
 
     lines: List[str] = [
         '"""Auto-generated by repro.core.batch -- do not edit."""',
@@ -209,13 +211,17 @@ def _render_program(model: Any) -> str:
     for name, value in tables["held"]:
         lines.append(f"    {name} = np.full(n, {lang.literal(value)})")
     lines.append("")
-    lines.append("    def outputs(t, x):")
+    lines.append("    def signals(t, x):")
     for line in output_lines:
         lines.append(f"        {line}")
-    lines.append(f"        return {{{sig_dict}}}")
+    lines.append(f"        return ({signals}{',' if signals else ''})")
+    lines.append("")
+    lines.append("    def outvals(t, x):")
+    for line in unpack:
+        lines.append(f"        {line}")
+    lines.append(f"        return ({row}{',' if row else ''})")
     lines.append("")
     lines.append("    def rhs(t, x):")
-    lines.append("        sig = outputs(t, x)")
     for line in unpack:
         lines.append(f"        {line}")
     lines.append("        dx = np.zeros_like(x)")
@@ -226,7 +232,6 @@ def _render_program(model: Any) -> str:
     lines.append("    def sync(t, x):")
     if tables["sync_rows"]:
         lines.append(f"        nonlocal {', '.join(held_names)}")
-        lines.append("        sig = outputs(t, x)")
         for line in unpack:
             lines.append(f"        {line}")
         for indent, line in tables["sync_rows"]:
@@ -258,7 +263,7 @@ def _render_program(model: Any) -> str:
     else:
         lines.append("        pass")
     lines.append("")
-    lines.append("    return outputs, rhs, sync, get_held, set_held")
+    lines.append("    return outvals, rhs, sync, get_held, set_held")
     return "\n".join(lines) + "\n"
 
 
@@ -722,7 +727,7 @@ class BatchSimulator:
         namespace: Dict[str, Any] = {"np": np}
         exec(self._numpy_program().code, namespace)
         (
-            self._outputs, self._rhs, self._sync,
+            self._outvals, self._rhs, self._sync,
             self._get_held, self._set_held,
         ) = namespace["_build"](self.n, self._P)
 
@@ -895,15 +900,13 @@ class BatchSimulator:
         returns of :meth:`~repro.core.backend.nativebatch.
         NativeBatchKernel.run_segment`."""
         first = row
-        signals = [signal for __, signal in self.model.records]
 
         def record(t: float, x: np.ndarray) -> None:
             # a signal that does not vary across instances broadcasts
             nonlocal row
-            sig = self._outputs(t, x)
             rec_t[row] = t
-            for i, signal in enumerate(signals):
-                rec[i, row] = sig[signal]
+            for i, value in enumerate(self._outvals(t, x)):
+                rec[i, row] = value
             row += 1
 
         t, x, step, done, __, __ = loop.run(
