@@ -4,8 +4,8 @@ This demo stands up the whole distributed story in one process tree:
 
 * a 3-worker :class:`repro.cluster.WorkerPool` over a shared
   content-addressed artifact/checkpoint store;
-* the asyncio HTTP front-end and its client — every job below travels
-  as JSON over a real socket;
+* the threaded HTTP front-end (one thread per connection) and its
+  socket client — every job below travels as JSON over a real socket;
 * a mixed workload: a fan of cruise-control runs (one streamed live as
   NDJSON telemetry) plus a pendulum batch sweep;
 * a mid-run **SIGKILL** of a busy worker: the victim's job migrates to

@@ -35,8 +35,8 @@ Package map
   coverage-steered differential campaigns (``python -m repro.scenarios``).
 - :mod:`repro.cluster` — the distributed service: a multi-process
   worker pool with work stealing, a shared store of job checkpoint
-  spools enabling bitwise live job migration, and an asyncio HTTP
-  front-end (``python -m repro.cluster``).
+  spools enabling bitwise live job migration, and a threaded HTTP
+  front-end and socket client (``python -m repro.cluster``).
 
 Every name below is exported on use: ``import repro`` imports no
 subpackage, and ``from repro import HybridModel`` imports only what

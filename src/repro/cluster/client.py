@@ -1,21 +1,28 @@
 """A synchronous stdlib HTTP client for the cluster front-end.
 
-One :class:`http.client.HTTPConnection` per call (the server closes
-connections after each response), JSON in/out, and a line iterator over
-the chunked NDJSON event stream.  This is what the CLI, the smoke
-harness and the S11 benchmark speak; anything else that can POST JSON
-works just as well.
+One socket per call (the server closes connections after each
+response), JSON in/out, and a line iterator over the chunked NDJSON
+event stream.  The client writes its request in one ``sendall`` and
+reads the response with a small reader — status line, headers, then a
+``Content-Length``, chunked or read-to-close body — because plain HTTP
+on a socket needs no TLS stack, and :mod:`http.client` loads one.  This
+is what the CLI, the smoke harness and the S11 benchmark speak;
+anything else that can POST JSON works just as well.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import time
-from typing import Any, Dict, Iterator, Optional
+from contextlib import contextmanager
+from typing import Any, BinaryIO, Dict, Iterator, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.cluster.requests import ClusterError, ClusterJobRequest, ClusterRejected
+
+#: the longest status, header or chunk-size line accepted, in bytes
+MAX_LINE = 64 * 1024
 
 
 class ClusterClientError(ClusterError):
@@ -24,6 +31,60 @@ class ClusterClientError(ClusterError):
     def __init__(self, status: int, message: str) -> None:
         self.status = status
         super().__init__(f"HTTP {status}: {message}")
+
+
+def _readline(stream: BinaryIO) -> bytes:
+    line = stream.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise ClusterError("HTTP response line too long")
+    return line
+
+
+def _read_exactly(stream: BinaryIO, size: int) -> bytes:
+    data = stream.read(size)
+    if len(data) != size:
+        raise ClusterError("connection closed mid-response")
+    return data
+
+
+def _read_head(stream: BinaryIO) -> Tuple[int, Dict[str, str]]:
+    """The status code and the (lower-cased) headers of a response."""
+    line = _readline(stream)
+    parts = line.split(None, 2)
+    if (
+        len(parts) < 2 or not parts[0].startswith(b"HTTP/")
+        or not parts[1].isdigit()
+    ):
+        raise ClusterError(f"malformed HTTP status line: {line[:80]!r}")
+    status = int(parts[1])
+    headers = {}
+    while True:
+        line = _readline(stream)
+        if line in (b"\r\n", b"\n", b""):
+            return status, headers
+        name, __, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+
+
+def _body(stream: BinaryIO, headers: Dict[str, str]) -> Iterator[bytes]:
+    """The response body, piece by piece as it arrives."""
+    if headers.get("transfer-encoding", "").lower() == "chunked":
+        while True:
+            size_field = _readline(stream).split(b";")[0].strip()
+            try:
+                size = int(size_field, 16)
+            except ValueError:
+                raise ClusterError(
+                    f"malformed chunk size: {size_field!r}"
+                ) from None
+            if size == 0:
+                return
+            yield _read_exactly(stream, size)
+            _readline(stream)  # the chunk's closing CRLF
+    elif "content-length" in headers:
+        yield _read_exactly(stream, int(headers["content-length"]))
+    else:
+        yield stream.read()
 
 
 class ClusterClient:
@@ -38,6 +99,31 @@ class ClusterClient:
         self.timeout = timeout
 
     # ------------------------------------------------------------------
+    @contextmanager
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
+    ) -> Iterator[Tuple[int, Iterator[bytes]]]:
+        """Send one request; yields ``(status, body pieces)`` with the
+        connection open."""
+        payload = b"" if body is None else json.dumps(body).encode("utf-8")
+        head = (
+            f"{method} {path} HTTP/1.1\r\n"
+            f"Host: {self.host}:{self.port}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            f"Connection: close\r\n\r\n"
+        ).encode("latin-1")
+        with socket.create_connection(
+            (self.host, self.port), timeout=timeout or self.timeout,
+        ) as sock, sock.makefile("rb") as stream:
+            sock.sendall(head + payload)
+            status, headers = _read_head(stream)
+            yield status, _body(stream, headers)
+
     def _request(
         self,
         method: str,
@@ -45,32 +131,20 @@ class ClusterClient:
         body: Optional[Dict[str, Any]] = None,
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=timeout or self.timeout,
-        )
+        with self._exchange(method, path, body, timeout) as (status, pieces):
+            data = b"".join(pieces)
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=payload, headers=headers)
-            response = connection.getresponse()
-            data = response.read()
-            try:
-                decoded = json.loads(data.decode("utf-8") or "{}")
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                decoded = {"error": data[:200].decode("latin-1")}
-            if response.status >= 400:
-                message = decoded.get("error", "unknown error")
-                if response.status == 429:
-                    raise ClusterRejected(
-                        decoded.get("reason", "rejected"), message,
-                    )
-                raise ClusterClientError(response.status, message)
-            return decoded
-        finally:
-            connection.close()
+            decoded = json.loads(data.decode("utf-8") or "{}")
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            decoded = {"error": data[:200].decode("latin-1")}
+        if status >= 400:
+            message = decoded.get("error", "unknown error")
+            if status == 429:
+                raise ClusterRejected(
+                    decoded.get("reason", "rejected"), message,
+                )
+            raise ClusterClientError(status, message)
+        return decoded
 
     # ------------------------------------------------------------------
     def healthz(self) -> bool:
@@ -128,27 +202,19 @@ class ClusterClient:
 
     def stream(self, job_id: str) -> Iterator[Dict[str, Any]]:
         """Yield NDJSON telemetry events until the job's stream ends."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout,
-        )
-        try:
-            connection.request("GET", f"/jobs/{job_id}/events")
-            response = connection.getresponse()
-            if response.status >= 400:
-                data = response.read()
+        with self._exchange("GET", f"/jobs/{job_id}/events") as (
+            status, pieces,
+        ):
+            if status >= 400:
+                data = b"".join(pieces)
                 raise ClusterClientError(
-                    response.status, data[:200].decode("latin-1"),
+                    status, data[:200].decode("latin-1"),
                 )
             buffer = b""
-            while True:
-                piece = response.read1(65536)
-                if not piece:
-                    break
+            for piece in pieces:
                 buffer += piece
                 while b"\n" in buffer:
                     line, __, buffer = buffer.partition(b"\n")
                     line = line.strip()
                     if line:
                         yield json.loads(line.decode("utf-8"))
-        finally:
-            connection.close()

@@ -1,8 +1,10 @@
-"""The cluster's asyncio HTTP front-end (stdlib only, no frameworks).
+"""The cluster's threaded HTTP front-end (stdlib only, no frameworks).
 
-A deliberately small HTTP/1.1 server over :func:`asyncio.start_server`
-— request line, headers, ``Content-Length`` body, one request per
-connection — because the cluster API needs exactly six verbs:
+A deliberately small HTTP/1.1 server over
+:class:`socketserver.ThreadingTCPServer` — request line, headers,
+``Content-Length`` body, one request per connection and one daemon
+thread per connection — because the cluster API needs exactly six
+verbs:
 
 ========  ==========================  =====================================
 method    path                        meaning
@@ -29,18 +31,18 @@ GET       ``/models``                 registered model names
 GET       ``/healthz``                liveness probe
 ========  ==========================  =====================================
 
-A result long-poll awaits the job's done-callback on the event loop;
-channel pops, the one blocking pool call left, run on the default
-executor, so the loop keeps serving while jobs run.
-:class:`ClusterHTTPServer` also hosts itself on a daemon thread
-(``start()``/``stop()``) so synchronous callers — the CLI, tests, the
-S11 benchmark — get a serving endpoint without touching asyncio.
+A result long-poll waits on the job handle, and an event stream pops
+the job's channel, each in its own connection's thread, so a parked
+poll holds nothing any other request waits for.  Threads are the
+library's one concurrency model: this module loads no event loop, and
+plain HTTP on a socket needs no TLS stack.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
+import socketserver
 import threading
 import zlib
 from typing import Any, Dict, Optional, Tuple
@@ -150,126 +152,74 @@ _REASONS = {
     429: "Too Many Requests", 500: "Internal Server Error",
 }
 
+#: the longest request or header line accepted, in bytes
+MAX_LINE = 64 * 1024
+#: the most header lines one request may carry
+MAX_HEADERS = 100
+#: the largest request body accepted, in bytes
+MAX_BODY = 8 * 1024 * 1024
+#: seconds a connection may stall while its request is read
+READ_TIMEOUT = 30.0
 
-class ClusterHTTPServer:
-    """Serve one :class:`WorkerPool` over HTTP.
 
-    Use as an async component (``await server.serve()``) or, more
-    commonly, as a self-hosting thread: ``start()`` binds the socket,
-    spins a daemon event-loop thread and returns once the port is
-    accepting; ``stop()`` tears it down.  ``port=0`` picks an ephemeral
-    port, readable from :attr:`port` after start.
-    """
+class _Server(socketserver.ThreadingTCPServer):
+    # asyncio's default listen backlog (socketserver's is 5): a burst
+    # of clients must queue, not be refused
+    request_queue_size = 100
+    allow_reuse_address = True
+    daemon_threads = True
+    # stop() must not join connection threads parked on long-polls
+    block_on_close = False
 
-    def __init__(
-        self,
-        pool: WorkerPool,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
+    def __init__(self, address: Tuple[str, int], pool: WorkerPool) -> None:
         self.pool = pool
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
+        if ":" in address[0]:  # an IPv6 literal such as "::1"
+            self.address_family = socket.AF_INET6
+        super().__init__(address, _Connection)
 
-    # ------------------------------------------------------------------
-    # threaded self-hosting
-    # ------------------------------------------------------------------
-    def start(self) -> "ClusterHTTPServer":
-        if self._thread is not None:
-            raise ClusterError("server already started")
-        self._thread = threading.Thread(
-            target=self._thread_main, name="cluster-http", daemon=True,
-        )
-        self._thread.start()
-        if not self._started.wait(10.0):
-            raise ClusterError("HTTP server failed to start within 10s")
-        return self
 
-    def _thread_main(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
+class _Connection(socketserver.StreamRequestHandler):
+    """One connection, one request, on its own thread."""
+
+    server: _Server
+    timeout = READ_TIMEOUT
+    # one write per response, one per event chunk: none may wait for
+    # the previous segment's ACK
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        self.pool = self.server.pool
         try:
-            loop.run_until_complete(self._bind())
-            self._started.set()
-            loop.run_forever()
-        finally:
             try:
-                if self._server is not None:
-                    self._server.close()
-                    loop.run_until_complete(self._server.wait_closed())
-            finally:
-                loop.close()
-
-    def stop(self) -> None:
-        loop, thread = self._loop, self._thread
-        if loop is not None and thread is not None and thread.is_alive():
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=5.0)
-        self._loop = None
-        self._thread = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    # ------------------------------------------------------------------
-    # asyncio guts
-    # ------------------------------------------------------------------
-    async def _bind(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve(self) -> None:
-        """Bind and serve until cancelled (async entry point)."""
-        await self._bind()
-        self._started.set()
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            method, path, body = await self._read_request(reader)
-        except (_HTTPError, asyncio.IncompleteReadError, ValueError) as exc:
-            status = exc.status if isinstance(exc, _HTTPError) else 400
-            await self._send_json(
-                writer, status, {"error": str(exc)},
-            )
-            return
-        try:
-            await self._route(method, path, body, writer)
+                method, path, body = self._read_request()
+            except socket.timeout:
+                raise _HTTPError(408, "request read timed out") from None
+            self._route(method, path, body)
         except _HTTPError as exc:
-            await self._send_json(
-                writer, exc.status, {"error": exc.message},
-            )
+            self._send_json(exc.status, {"error": exc.message})
         except ClusterRejected as exc:
-            await self._send_json(
-                writer, 429, {"error": str(exc), "reason": exc.reason},
-            )
+            self._send_json(429, {"error": str(exc), "reason": exc.reason})
         except ClusterError as exc:
-            await self._send_json(writer, 400, {"error": str(exc)})
+            self._send_json(400, {"error": str(exc)})
+        except (ConnectionError, socket.timeout):
+            pass  # the client went away, or stopped reading its stream
         except Exception as exc:  # pragma: no cover - defensive
-            await self._send_json(
-                writer, 500, {"error": f"{type(exc).__name__}: {exc}"},
-            )
+            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 
-    async def _read_request(self, reader) -> Tuple[str, str, bytes]:
-        request_line = await asyncio.wait_for(
-            reader.readline(), timeout=30.0,
-        )
-        parts = request_line.decode("latin-1").split()
+    def _readline(self) -> bytes:
+        line = self.rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise _HTTPError(400, "request line too long")
+        return line
+
+    def _read_request(self) -> Tuple[str, str, bytes]:
+        parts = self._readline().decode("latin-1").split()
         if len(parts) != 3:
             raise _HTTPError(400, "malformed request line")
         method, path, __ = parts
         content_length = 0
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=30.0)
+        for __ in range(MAX_HEADERS + 1):
+            line = self._readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             name, __, value = line.decode("latin-1").partition(":")
@@ -277,54 +227,52 @@ class ClusterHTTPServer:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
-                    raise _HTTPError(400, "bad Content-Length")
-        body = b""
-        if content_length:
-            if content_length > 8 * 1024 * 1024:
-                raise _HTTPError(400, "request body too large")
-            body = await asyncio.wait_for(
-                reader.readexactly(content_length), timeout=30.0,
-            )
+                    raise _HTTPError(400, "bad Content-Length") from None
+        else:
+            raise _HTTPError(400, "too many headers")
+        if not 0 <= content_length <= MAX_BODY:
+            raise _HTTPError(400, "bad Content-Length")
+        body = self.rfile.read(content_length)
+        if len(body) != content_length:
+            raise _HTTPError(400, "request body shorter than Content-Length")
         return method.upper(), path, body
 
-    async def _route(self, method, path, body, writer) -> None:
+    def _route(self, method: str, path: str, body: bytes) -> None:
         split = urlsplit(path)
         query = {
             k: v[-1] for k, v in parse_qs(split.query).items()
         }
         segments = [s for s in split.path.split("/") if s]
         if segments == ["healthz"]:
-            await self._send_json(writer, 200, {"ok": True})
+            self._send_json(200, {"ok": True})
         elif segments == ["status"] and method == "GET":
-            await self._send_json(writer, 200, json_safe(self.pool.status()))
+            self._send_json(200, json_safe(self.pool.status()))
         elif segments == ["models"] and method == "GET":
-            await self._send_json(
-                writer, 200, {"models": sorted(registered_models())},
-            )
+            self._send_json(200, {"models": sorted(registered_models())})
         elif segments == ["jobs"] and method == "POST":
-            await self._submit(body, writer)
+            self._submit(body)
         elif segments == ["jobs"] and method == "GET":
-            await self._send_json(writer, 200, {
+            self._send_json(200, {
                 "jobs": [h.status() for h in self.pool.jobs()],
             })
         elif len(segments) == 2 and segments[0] == "jobs":
             handle = self._handle_or_404(segments[1])
             if method != "GET":
                 raise _HTTPError(405, "use GET for job status")
-            await self._send_json(writer, 200, handle.status())
+            self._send_json(200, handle.status())
         elif len(segments) == 3 and segments[0] == "jobs":
             handle = self._handle_or_404(segments[1])
             action = segments[2]
             if action == "result" and method == "GET":
-                await self._result(handle, query, writer)
+                self._result(handle, query)
             elif action == "cancel" and method == "POST":
                 cancelled = self.pool.cancel(handle.id)
-                await self._send_json(writer, 200, {
+                self._send_json(200, {
                     "id": handle.id, "cancelled": cancelled,
                     "state": handle.state.value,
                 })
             elif action == "events" and method == "GET":
-                await self._stream_events(handle, writer)
+                self._stream_events(handle)
             else:
                 raise _HTTPError(404, f"unknown action {action!r}")
         else:
@@ -336,110 +284,118 @@ class ClusterHTTPServer:
             raise _HTTPError(404, f"unknown job {job_id!r}")
         return handle
 
-    async def _submit(self, body: bytes, writer) -> None:
+    def _submit(self, body: bytes) -> None:
         try:
             data = json.loads(body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _HTTPError(400, f"bad JSON body: {exc}")
         request = ClusterJobRequest.from_dict(data)
         handle = self.pool.submit(request)
-        await self._send_json(writer, 202, {
-            "id": handle.id, "state": handle.state.value,
-        })
+        self._send_json(202, {"id": handle.id, "state": handle.state.value})
 
-    async def _result(self, handle, query, writer) -> None:
+    def _result(self, handle: ClusterJobHandle, query: Dict[str, str]) -> None:
         try:
             timeout = float(query.get("timeout", 60.0))
         except ValueError:
             raise _HTTPError(400, "bad timeout")
-        # awaited on the event loop, not in an executor thread: a long
-        # poll must not hold one of the few threads every other
-        # request's blocking work queues for
-        loop = asyncio.get_running_loop()
-        finished = loop.create_future()
-
-        def settle() -> None:
-            if not finished.done():
-                finished.set_result(None)
-
-        def on_done(__) -> None:
-            try:
-                loop.call_soon_threadsafe(settle)
-            except RuntimeError:
-                pass  # the server stopped; nobody is waiting
-
-        handle.add_done_callback(on_done)
-        try:
-            await asyncio.wait_for(finished, max(0.0, timeout))
-        except asyncio.TimeoutError:
+        if not handle.wait(max(0.0, timeout)):
             raise _HTTPError(
                 408, f"job {handle.id} still {handle.state.value} "
                 f"after {timeout:g}s",
-            ) from None
+            )
         status = handle.status()
         if handle.state.value == "done":
             status["result"] = summarise_result(handle.result_value)
-        await self._send_json(writer, 200, status)
+        self._send_json(200, status)
 
-    async def _stream_events(self, handle, writer) -> None:
+    def _stream_events(self, handle: ClusterJobHandle) -> None:
         """Chunked NDJSON: one telemetry event per line, then a final
         status line once the channel closes."""
-        writer.write(
+        self.wfile.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
             b"Transfer-Encoding: chunked\r\n"
             b"Connection: close\r\n\r\n"
         )
-        await writer.drain()
-        loop = asyncio.get_running_loop()
-        channel = handle.channel
-        try:
-            while True:
-                item, popped = await loop.run_in_executor(
-                    None, channel.pop_item, True, 0.25,
-                )
-                if popped:
-                    await self._write_chunk(writer, {
-                        "kind": item.kind, "job_id": item.job_id,
-                        "seq": item.seq, "t": json_safe(item.t),
-                        "payload": json_safe(item.payload),
-                    })
-                elif channel.closed:
-                    break
-            await self._write_chunk(writer, {
-                "kind": "end", "job_id": handle.id,
-                "state": handle.state.value,
+        for item in handle.channel:
+            self._write_chunk({
+                "kind": item.kind, "job_id": item.job_id,
+                "seq": item.seq, "t": json_safe(item.t),
+                "payload": json_safe(item.payload),
             })
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass  # client went away mid-stream
-        finally:
-            writer.close()
+        self._write_chunk({
+            "kind": "end", "job_id": handle.id,
+            "state": handle.state.value,
+        })
+        self.wfile.write(b"0\r\n\r\n")
 
-    @staticmethod
-    async def _write_chunk(writer, obj: Dict[str, Any]) -> None:
+    def _write_chunk(self, obj: Dict[str, Any]) -> None:
         line = (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
-        writer.write(f"{len(line):x}\r\n".encode("ascii"))
-        writer.write(line + b"\r\n")
-        await writer.drain()
+        self.wfile.write(b"%x\r\n%b\r\n" % (len(line), line))
 
-    async def _send_json(self, writer, status: int, obj: Any) -> None:
+    def _send_json(self, status: int, obj: Any) -> None:
+        payload = json.dumps(obj, sort_keys=True).encode("utf-8")
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            f"Connection: close\r\n\r\n"
+        ).encode("ascii")
         try:
-            payload = json.dumps(obj, sort_keys=True).encode("utf-8")
-            reason = _REASONS.get(status, "OK")
-            writer.write(
-                f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"Connection: close\r\n\r\n".encode("ascii")
-            )
-            writer.write(payload)
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
+            self.wfile.write(head + payload)
+        except OSError:
+            pass  # the client went away
+
+
+class ClusterHTTPServer:
+    """Serve one :class:`WorkerPool` over HTTP from a daemon thread.
+
+    ``start()`` binds and listens, so the port accepts connections once
+    it returns, and serves each connection on a thread of its own;
+    ``stop()`` closes the listening socket without waiting for
+    connections still parked on a long-poll.  ``port=0`` picks an
+    ephemeral port, readable from :attr:`port` after start.
+    """
+
+    def __init__(
+        self,
+        pool: WorkerPool,
+        host: str = "127.0.0.1",
+        port: int = 0,
+    ) -> None:
+        self.pool = pool
+        self.host = host
+        self.port = port
+        self._server: Optional[_Server] = None
+        self._thread: Optional[threading.Thread] = None
+
+    def start(self) -> "ClusterHTTPServer":
+        if self._server is not None:
+            raise ClusterError("server already started")
+        server = _Server((self.host, self.port), self.pool)
+        self.port = server.server_address[1]
+        self._server = server
+        self._thread = threading.Thread(
+            target=server.serve_forever, args=(0.1,),
+            name="cluster-http", daemon=True,
+        )
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        server, thread = self._server, self._thread
+        if server is not None and thread is not None:
+            # serve_forever notices within its 0.1 s poll interval
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5.0)
+        self._server = None
+        self._thread = None
+
+    @property
+    def url(self) -> str:
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        return f"http://{host}:{self.port}"
 
     def __enter__(self) -> "ClusterHTTPServer":
         return self.start()

@@ -46,7 +46,7 @@ import time
 from multiprocessing import connection as mp_connection
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.cluster.requests import ClusterError, ClusterJobRequest, ClusterRejected
 from repro.cluster.store import ArtifactStore
@@ -120,8 +120,6 @@ class ClusterJobHandle:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self._done = threading.Event()
-        self._callbacks: List[Callable[["ClusterJobHandle"], None]] = []
-        self._callbacks_lock = threading.Lock()
 
     def _finish(
         self, state: JobState, result: Any = None, error: Optional[str] = None
@@ -131,26 +129,10 @@ class ClusterJobHandle:
         self.error = error
         self.finished_at = time.monotonic()
         self.channel.close()
-        with self._callbacks_lock:
-            self._done.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        self._done.set()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self._done.wait(timeout)
-
-    def add_done_callback(
-        self, callback: Callable[["ClusterJobHandle"], None]
-    ) -> None:
-        """Call ``callback(handle)`` once the job finishes (at once when
-        it has).  It may run on a pool thread holding the pool's lock,
-        so it must not block."""
-        with self._callbacks_lock:
-            if not self._done.is_set():
-                self._callbacks.append(callback)
-                return
-        callback(self)
 
     def result(self, timeout: Optional[float] = None) -> Any:
         """The job's result; raises the matching error otherwise."""
@@ -225,6 +207,8 @@ class WorkerPool:
         self._lock = threading.RLock()
         self._jobs: Dict[str, ClusterJobHandle] = {}
         self._envelopes: Dict[str, JobEnvelope] = {}
+        #: client -> its jobs admitted and not yet finished
+        self._in_flight: Dict[str, int] = {}
         self._job_seq = itertools.count(1)
         self._epoch_seq = itertools.count(1)
         # the shared deadline-admission predicate (same code path the
@@ -316,6 +300,8 @@ class WorkerPool:
             )
             self._jobs[job_id] = handle
             self._envelopes[job_id] = envelope
+            client = request.client
+            self._in_flight[client] = self._in_flight.get(client, 0) + 1
             self._enqueue(envelope)
             self.metrics.counter("cluster.submitted").inc()
             # coordinator-side admission event (seq -1, like MIGRATED)
@@ -340,11 +326,7 @@ class WorkerPool:
             )
         per_client = self.config.per_client_limit
         if per_client:
-            in_flight = sum(
-                1 for handle in self._jobs.values()
-                if handle.request.client == request.client
-                and not handle.state.terminal
-            )
+            in_flight = self._in_flight.get(request.client, 0)
             if in_flight >= per_client:
                 self.metrics.counter("cluster.rejected.client_quota").inc()
                 raise ClusterRejected(
@@ -536,7 +518,14 @@ class WorkerPool:
         result: Any = None,
         error: Optional[str] = None,
     ) -> None:
-        """Caller holds the lock."""
+        """The one terminal path; caller holds the lock."""
+        if handle.state.terminal:
+            return  # finished already; its client was counted down then
+        client = handle.request.client
+        if self._in_flight[client] > 1:
+            self._in_flight[client] -= 1
+        else:
+            del self._in_flight[client]
         self._envelopes.pop(handle.id, None)
         # the terminal state closes the stream, as the engine's does
         # (seq -1: a coordinator-side event, like ADMISSION)

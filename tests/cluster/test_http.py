@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import os
+import socket
+import socketserver
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -134,9 +139,9 @@ def slow_request():
 
 class TestLongPoll:
     def test_many_long_polls_do_not_delay_a_finished_result(self, cluster):
-        # more long-polls on a slow job than the event loop's default
-        # executor has threads; a finished job's result must not queue
-        # behind them
+        # more long-polls on a slow job than the host has cores, each
+        # parked on its own connection thread; a finished job's result
+        # must not queue behind them
         __, client = cluster
         done_id = client.submit(lag_request())
         client.result(done_id, timeout=60)
@@ -174,6 +179,152 @@ class TestLongPoll:
             assert "still" in str(excinfo.value)
         finally:
             client.cancel(slow_id)
+
+
+def raw_exchange(url: str, data: bytes) -> bytes:
+    """Send ``data`` on one connection, half-close it, and return
+    everything the server answers."""
+    split = urlsplit(url)
+    with socket.create_connection(
+        (split.hostname, split.port), timeout=10,
+    ) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        answer = b""
+        while True:
+            try:
+                piece = sock.recv(65536)
+            except ConnectionResetError:
+                return answer  # the server closed with our bytes unread
+            if not piece:
+                return answer
+            answer += piece
+
+
+def status_of(answer: bytes) -> int:
+    return int(answer.split(b" ", 2)[1])
+
+
+class TestWireEdges:
+    def test_request_line_over_64_kib_is_400(self, cluster):
+        __, client = cluster
+        path = "/jobs/" + "x" * (64 * 1024)
+        answer = raw_exchange(
+            f"http://{client.host}:{client.port}",
+            f"GET {path} HTTP/1.1\r\n\r\n".encode("ascii"),
+        )
+        assert status_of(answer) == 400
+        assert b"too long" in answer
+
+    def test_short_body_is_400(self, cluster):
+        __, client = cluster
+        answer = raw_exchange(
+            f"http://{client.host}:{client.port}",
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+        )
+        assert status_of(answer) == 400
+        assert b"shorter than Content-Length" in answer
+
+    @pytest.mark.parametrize(
+        "value", ["ten", "-1", str(8 * 1024 * 1024 + 1)],
+    )
+    def test_bad_content_length_is_400(self, cluster, value):
+        __, client = cluster
+        answer = raw_exchange(
+            f"http://{client.host}:{client.port}",
+            f"POST /jobs HTTP/1.1\r\nContent-Length: {value}\r\n\r\n"
+            .encode("ascii"),
+        )
+        assert status_of(answer) == 400
+        assert b"bad Content-Length" in answer
+
+    def test_stream_events_spanning_chunks_decode_intact(self):
+        events = [
+            {"kind": "progress", "seq": i, "payload": {"pad": "y" * 37 * i}}
+            for i in range(20)
+        ]
+        body = b"".join(
+            json.dumps(event).encode("utf-8") + b"\n" for event in events
+        )
+        # 7-byte chunks: every event spans several of them
+        chunks = [body[i:i + 7] for i in range(0, len(body), 7)]
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def serve() -> None:
+                conn, __ = listener.accept()
+                with conn:
+                    request = b""
+                    while b"\r\n\r\n" not in request:
+                        request += conn.recv(4096)
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\n"
+                        b"Transfer-Encoding: chunked\r\n\r\n"
+                    )
+                    for chunk in chunks:
+                        conn.sendall(b"%x\r\n%b\r\n" % (len(chunk), chunk))
+                    conn.sendall(b"0\r\n\r\n")
+
+            thread = threading.Thread(target=serve, daemon=True)
+            thread.start()
+            port = listener.getsockname()[1]
+            decoded = list(
+                ClusterClient(f"http://127.0.0.1:{port}").stream("cj-1")
+            )
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert decoded == events
+
+    def test_listener_reuses_its_address_and_queues_a_burst(self, cluster):
+        pool, __ = cluster
+        with ClusterHTTPServer(pool) as server:
+            listener = server._server
+            assert listener.socket.getsockopt(
+                socket.SOL_SOCKET, socket.SO_REUSEADDR,
+            )
+            assert listener.request_queue_size >= 100
+        # set on the server's own class, not on socketserver's
+        assert not socketserver.TCPServer.allow_reuse_address
+
+    def test_serves_an_ipv6_host(self, cluster):
+        pool, __ = cluster
+        try:
+            server = ClusterHTTPServer(pool, host="::1").start()
+        except OSError as exc:  # no IPv6 loopback on this host
+            pytest.skip(f"cannot bind ::1: {exc}")
+        try:
+            assert server.url == f"http://[::1]:{server.port}"
+            assert ClusterClient(server.url).healthz()
+        finally:
+            server.stop()
+
+    def test_stop_returns_while_long_polls_are_parked(self, cluster):
+        pool, __ = cluster
+        server = ClusterHTTPServer(pool).start()
+        client = ClusterClient(server.url)
+        slow_id = client.submit(slow_request())
+        outcomes = []
+
+        def poll() -> None:
+            try:
+                client.result(slow_id, timeout=30)
+            except ClusterError as exc:
+                outcomes.append(str(exc))
+
+        pollers = [threading.Thread(target=poll) for __ in range(4)]
+        for poller in pollers:
+            poller.start()
+        time.sleep(0.5)  # every poll is parked on the server
+        start = time.monotonic()
+        server.stop()
+        elapsed = time.monotonic() - start
+        # the parked polls still answer once their job finishes
+        assert pool.cancel(slow_id)
+        for poller in pollers:
+            poller.join(timeout=30)
+        assert not any(poller.is_alive() for poller in pollers)
+        assert elapsed < 1.0, f"stop() took {elapsed:.2f}s"
+        assert len(outcomes) == 4
+        assert all("finished cancelled" in o for o in outcomes), outcomes
 
 
 class TestSummaries:

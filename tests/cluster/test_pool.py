@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -13,7 +14,32 @@ from repro.cluster.requests import (
     ClusterError, ClusterJobRequest, ClusterRejected, build_spec,
 )
 from repro.service import SimulationService, telemetry
-from repro.service.jobs import JobCancelledError, JobError
+from repro.service.jobs import JobCancelledError, JobError, JobState
+
+
+def slow_request(**overrides):
+    """A cruise run of about a minute unless cancelled."""
+    base = dict(
+        kind="single_run", model="cruise",
+        params={"t_end": 60.0, "sync_interval": 0.01}, checkpoint=False,
+    )
+    base.update(overrides)
+    return ClusterJobRequest(**base)
+
+
+def in_flight_by_scan(pool):
+    """Each client's unfinished jobs, counted over every handle."""
+    counts = {}
+    for handle in pool.jobs():
+        if not handle.state.terminal:
+            client = handle.request.client
+            counts[client] = counts.get(client, 0) + 1
+    return counts
+
+
+def assert_count_is_scan(pool):
+    with pool._lock:
+        assert pool._in_flight == in_flight_by_scan(pool)
 
 
 def lag_request(**overrides):
@@ -249,3 +275,95 @@ class TestAdmissionControl:
             with pytest.raises(ClusterRejected) as excinfo:
                 pool.submit(lag_request(deadline=0.1))
             assert excinfo.value.reason == "deadline_infeasible"
+
+
+class TestInFlightCount:
+    def test_count_tracks_every_terminal_path(self, tmp_path):
+        with WorkerPool(
+            tmp_path, ClusterConfig(workers=1, per_client_limit=3),
+        ) as pool:
+            moving = pool.submit(ClusterJobRequest(
+                kind="single_run", model="cruise", client="a",
+                params={"t_end": 3.0, "sync_interval": 0.01,
+                        "checkpoint_every_steps": 40},
+            ))
+            # queued behind ``moving`` on the one worker: its deadline
+            # lapses before dispatch (admitted cold, no cost estimate)
+            late = pool.submit(lag_request(client="b", deadline=0.2))
+            cancelled = pool.submit(slow_request(client="b"))
+            failed = pool.submit(lag_request(client="a", model="nope"))
+            assert_count_is_scan(pool)
+            assert pool._in_flight == {"a": 2, "b": 2}
+            assert pool.cancel(cancelled.id)
+            assert_count_is_scan(pool)
+            deadline = time.monotonic() + 60
+            while not pool.store.checkpoints(moving.id):
+                assert time.monotonic() < deadline, "no checkpoint spooled"
+                time.sleep(0.01)
+            pool.kill_worker(0)
+            done = pool.submit(lag_request(client="a"))
+            assert_count_is_scan(pool)
+            for handle in (moving, late, failed, done):
+                assert handle.wait(timeout=120)
+            assert moving.migrations == 1
+            assert [h.state for h in (moving, late, cancelled, failed, done)] \
+                == [JobState.DONE, JobState.TIMEOUT, JobState.CANCELLED,
+                    JobState.FAILED, JobState.DONE]
+            assert_count_is_scan(pool)
+            assert pool._in_flight == {}
+
+            greedy = [
+                pool.submit(slow_request(client="greedy")) for __ in range(3)
+            ]
+            with pytest.raises(ClusterRejected) as excinfo:
+                pool.submit(slow_request(client="greedy"))
+            assert excinfo.value.reason == "client_quota"
+            assert pool.cancel(greedy[-1].id)
+            greedy[-1] = pool.submit(slow_request(client="greedy"))
+            assert_count_is_scan(pool)
+            assert pool._in_flight == {"greedy": 3}
+        assert pool._in_flight == {}
+        assert all(h.state is JobState.CANCELLED for h in greedy)
+
+    def test_concurrent_submits_and_cancels_keep_the_count(self, pool2):
+        # more submitting threads than cores, switching every microsecond
+        clients = [f"churn-{i}" for i in range(3)]
+
+        def churn(client):
+            for __ in range(10):
+                pool2.cancel(pool2.submit(slow_request(client=client)).id)
+
+        threads = [
+            threading.Thread(target=churn, args=(clients[i % 3],))
+            for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert_count_is_scan(pool2)
+        churned = [h for h in pool2.jobs() if h.request.client in clients]
+        assert len(churned) == 80
+        for handle in churned:
+            assert handle.wait(timeout=60)
+        assert not set(clients) & set(pool2._in_flight)
+
+    def test_a_second_finish_counts_down_once(self, pool2):
+        running = pool2.submit(slow_request(client="twice"))
+        finished = pool2.submit(lag_request(client="twice"))
+        finished.result(timeout=60)
+        try:
+            with pool2._lock:
+                pool2._finish_job(finished, JobState.CANCELLED)
+                assert pool2._in_flight["twice"] == 1
+            assert finished.state is JobState.DONE
+        finally:
+            pool2.cancel(running.id)
+        assert running.wait(timeout=60)
+        assert "twice" not in pool2._in_flight

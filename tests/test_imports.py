@@ -4,9 +4,11 @@ Package ``__init__`` modules resolve their re-exported names through
 :func:`repro._lazy.lazy_exports`, so a process imports only the modules
 its work needs.  These tests pin that down: a cluster worker boots
 without the HTTP front-end, the pool, the scenario engine or the
-schedulability engine; every exported name still resolves (and matches
-the ``TYPE_CHECKING`` imports static tools read); and the registries
-that importing fills are unchanged.
+schedulability engine; no process, not even one that serves and calls
+the cluster over HTTP, loads an event loop or a TLS stack; every
+exported name still resolves (and matches the ``TYPE_CHECKING`` imports
+static tools read); and the registries that importing fills are
+unchanged.
 """
 
 from __future__ import annotations
@@ -51,6 +53,43 @@ WORKER_NEVER_IMPORTS = (
     "repro.service.engine",
 )
 
+
+#: what ``asyncio`` and ``http.client`` bring in (``http.client``
+#: imports ``ssl``, which maps OpenSSL); the cluster speaks plain HTTP
+#: on threads and sockets, so no process needs any of them
+NETWORK_STACK = (
+    "asyncio",
+    "http.client",
+    "http.server",
+    "ssl",
+    "_ssl",
+    "email",
+    "concurrent.futures",
+    "logging",
+)
+
+#: serve a one-worker pool over HTTP and call it from the same process:
+#: one ``lag`` request submitted, its result and its event stream read;
+#: prints the outcome and the loaded modules
+SERVE_AND_CALL = """
+import json, sys, tempfile
+from repro.cluster import (
+    ClusterClient, ClusterConfig, ClusterHTTPServer, ClusterJobRequest,
+    WorkerPool,
+)
+with tempfile.TemporaryDirectory() as root:
+    with WorkerPool(root, ClusterConfig(workers=1)) as pool:
+        with ClusterHTTPServer(pool) as server:
+            client = ClusterClient(server.url)
+            job_id = client.submit(ClusterJobRequest(
+                kind="single_run", model="lag", checkpoint=False,
+                params={"t_end": 0.2, "sync_interval": 0.05},
+            ))
+            state = client.result(job_id, timeout=60)["state"]
+            kinds = [event["kind"] for event in client.stream(job_id)]
+print(json.dumps([state, "progress" in kinds, kinds[-1]]))
+print(json.dumps(list(sys.modules)))
+"""
 
 #: modules that load OpenSSL's ``libcrypto``; only the fallback in
 #: :mod:`repro._digest` may import one
@@ -198,6 +237,30 @@ class TestWorkerBoot:
         assert {m for m in loaded if m.startswith("repro")} == {
             "repro", "repro._lazy",
         }
+
+
+class TestNetworkFootprint:
+    def test_exports_load_no_network_stack(self):
+        loaded = loaded_after(
+            "import repro, repro.cluster\n"
+            "for package in (repro, repro.cluster):\n"
+            "    for name in package.__all__:\n"
+            "        getattr(package, name)"
+        )
+        assert "repro.cluster.http" in loaded
+        assert "repro.cluster.client" in loaded
+        assert loaded.isdisjoint(NETWORK_STACK), sorted(
+            loaded.intersection(NETWORK_STACK)
+        )
+
+    def test_serving_and_calling_load_no_network_stack(self):
+        outcome, loaded = map(
+            json.loads, fresh_python(SERVE_AND_CALL).splitlines(),
+        )
+        assert outcome == ["done", True, "end"]
+        assert set(loaded).isdisjoint(NETWORK_STACK), sorted(
+            set(loaded).intersection(NETWORK_STACK)
+        )
 
 
 class TestExports:
