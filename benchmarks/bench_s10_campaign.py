@@ -70,7 +70,7 @@ def test_s10_batch_vs_sequential_path(report, bench_json):
 
 
 def test_s10_campaign_throughput(report, bench_json):
-    """Scenarios/sec through the JobEngine, parallel vs serial."""
+    """Scenarios/sec through the runner's fan-out, parallel vs serial."""
     count = 32
     walls = {}
     for workers in (1, 4):

@@ -1,8 +1,11 @@
 """Shared benchmark helpers.
 
 Every benchmark prints the table/series it reproduces (run with ``-s`` to
-see them inline); the same summaries are appended to
-``benchmarks/results.txt`` so EXPERIMENTS.md can cite a stable artefact.
+see them inline); the same summaries land in ``benchmarks/results.txt``
+so EXPERIMENTS.md can cite a stable artefact.  Each summary is one block
+under its ``== title ==`` header: a rerun replaces its own blocks and
+keeps every other bench's, so running one bench file refreshes only
+that bench's sections.
 Machine-readable headline metrics additionally land in ``BENCH_<id>.json``
 at the repo root (one file per bench id, schema
 ``{"bench": ..., "metrics": {...}, "timestamp": ...}``) so CI can archive
@@ -14,6 +17,7 @@ from __future__ import annotations
 import datetime
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -21,23 +25,30 @@ RESULTS = pathlib.Path(__file__).resolve().parent / "results.txt"
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _fresh_results_file():
-    RESULTS.write_text("")
-    yield
+def write_report(path: pathlib.Path, title: str, lines) -> str:
+    """Put the block ``== title ==`` + ``lines`` into the results file
+    at ``path``: in place of the block with that header if there is one
+    (further blocks under the same header are dropped), else at the end.
+    Returns the block's text."""
+    header = f"== {title} =="
+    text = "\n".join([header, *(str(line) for line in lines)])
+    old = path.read_text() if path.exists() else ""
+    # a block runs from its header line to the next header line
+    blocks = re.split(r"(?m)^(?=== .* ==$)", old)
+    heads = [block.split("\n", 1)[0] for block in blocks]
+    at = heads.index(header) if header in heads else len(blocks)
+    blocks = [b for b, head in zip(blocks, heads) if head != header]
+    blocks.insert(at, text + "\n\n")
+    path.write_text("".join(blocks))
+    return text
 
 
 @pytest.fixture
 def report():
-    """Print a block and append it to benchmarks/results.txt."""
+    """Print a block and write it to benchmarks/results.txt."""
 
     def emit(title: str, lines) -> None:
-        block = [f"== {title} =="]
-        block.extend(str(line) for line in lines)
-        text = "\n".join(block)
-        print("\n" + text)
-        with RESULTS.open("a") as handle:
-            handle.write(text + "\n\n")
+        print("\n" + write_report(RESULTS, title, lines))
 
     return emit
 

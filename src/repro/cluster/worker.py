@@ -155,7 +155,6 @@ def worker_main(
     """The worker process entry point: pull, execute, report, repeat."""
     store = ArtifactStore(store_root)
     cache = PlanCache(capacity=cache_capacity)
-    jobs_done = 0
     while True:
         outbox.send((MSG_READY, worker_id))
         message = feed.get()
@@ -169,7 +168,6 @@ def worker_main(
         state, result, error = _run_envelope(
             worker_id, envelope, outbox, cancel_cell, store, services,
         )
-        jobs_done += 1
         wall = time.monotonic() - started
         # pre-pickle the result so a non-picklable payload degrades to a
         # clean failure here instead of a hang in the queue feeder thread
@@ -186,6 +184,9 @@ def worker_main(
             MSG_DONE, worker_id, job_id, state.value, result_bytes,
             error, services.metrics.dump(), wall,
         ))
+        # bind no job while blocked in feed.get(): an idle worker would
+        # keep its last envelope and result alive
+        del message, envelope, result, result_bytes, services
 
 
 def _run_envelope(

@@ -30,11 +30,13 @@ its per-instance diagrams.  Sharding splits the instance axis into
 contiguous row ranges: rows never interact (the whole point of a batch),
 so any shard count produces identical bits.
 
-Sharding: the ctypes call releases the GIL, so K shards submitted to a
-thread pool run concurrently on K cores, each on a zero-copy row slice
-(pointer offset into the shared matrices).  Every shard returns its
-``(nrec, t, step, done)`` cursor and they must agree exactly — a cheap
-invariant check that the shard decomposition stayed pure.
+Sharding: the ctypes call releases the GIL, so K shards run
+concurrently on K cores through :func:`repro._fanout.fan_out` (shard 0
+on the calling thread, the others on K - 1 helper threads), each on a
+zero-copy row slice (pointer offset into the shared matrices).  Every
+shard returns its ``(nrec, t, step, done)`` cursor and they must agree
+exactly — a cheap invariant check that the shard decomposition stayed
+pure.
 
 No compiler / unsupported solver / unlowerable model raises
 :class:`BackendUnavailable`; the ladder demotes ``native-batch`` to the
@@ -50,6 +52,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro._fanout import fan_out
 from repro.core.backend.base import (
     BackendError, BackendUnavailable, CompileRequest, ExecutionBackend,
     kernel_solver_name, register_backend,
@@ -269,7 +272,8 @@ class NativeBatchKernel:
         cap = rows_total - row
         bounds = shard_bounds(self.n, self.shards)
 
-        def run_rows(lo: int, hi: int, write_t: bool):
+        def run_rows(shard: int):
+            lo, hi = bounds[shard]
             t_out = ctypes.c_double()
             step_out = ctypes.c_long()
             done_out = ctypes.c_int()
@@ -280,7 +284,7 @@ class NativeBatchKernel:
                 _ptr_at(xb, lo * xb.shape[1]),
                 _ptr_at(self._P, lo * self.nps),
                 _ptr_at(self._H, lo * self.nhs),
-                _ptr_at(rec_t, row), 1 if write_t else 0,
+                _ptr_at(rec_t, row), 1 if shard == 0 else 0,
                 _ptr_at(rec, row * self.n + lo), self.n,
                 rows_total * self.n, cap,
                 ctypes.byref(t_out), ctypes.byref(step_out),
@@ -291,18 +295,8 @@ class NativeBatchKernel:
                 int(done_out.value),
             )
 
-        if len(bounds) == 1:
-            lo, hi = bounds[0]
-            cursors = [run_rows(lo, hi, True)]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-                futures = [
-                    pool.submit(run_rows, lo, hi, index == 0)
-                    for index, (lo, hi) in enumerate(bounds)
-                ]
-                cursors = [future.result() for future in futures]
+        # shard 0 (the one that writes rec_t) runs on this thread
+        cursors = fan_out(run_rows, range(len(bounds)), len(bounds))
         first = cursors[0]
         if any(cursor != first for cursor in cursors[1:]):
             raise BackendError(

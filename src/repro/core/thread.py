@@ -19,11 +19,11 @@ Two backends exist:
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 import numpy as np
 
+from repro._fanout import fan_out
 from repro.core import loop
 from repro.core.solverbinding import SolverBinding
 from repro.core.streamer import Streamer, StreamerError
@@ -141,8 +141,9 @@ class RealThreadPool:
 
     Used by bench C3 to show the architecture maps directly onto OS
     threads ("easy to realize on existing UML-RT platforms"): slices are
-    data-disjoint, so the pool simply launches one ``threading.Thread``
-    per streamer thread and joins them at the sync point barrier.
+    data-disjoint, so :func:`repro._fanout.fan_out` runs one slice per
+    OS thread, the first on the scheduler's own, and returns at the sync
+    point barrier.
     """
 
     def __init__(self, threads: Sequence[StreamerThread]) -> None:
@@ -156,23 +157,9 @@ class RealThreadPool:
         t1: float,
     ) -> None:
         """Integrate every thread's plan view over ``[t0, t1]``."""
-        errors: List[BaseException] = []
-
-        def work(thread: StreamerThread) -> None:
-            try:
-                thread.integrate_slice(state, t0, t1)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-
-        workers = [
-            threading.Thread(target=work, args=(thread,), daemon=True)
-            for thread in self.threads
-            if thread.leaves
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        active = [thread for thread in self.threads if thread.leaves]
+        fan_out(
+            lambda thread: thread.integrate_slice(state, t0, t1),
+            active, max(1, len(active)),
+        )
         self.slices_run += 1
-        if errors:
-            raise errors[0]

@@ -1,14 +1,15 @@
 """The campaign driver: thousands of scenarios, one coverage ledger.
 
 :class:`CampaignRunner` walks a deterministic seed stream, turns each
-seed into a :class:`~repro.scenarios.spec.ScenarioSpec`, and pushes the
-scenarios through the service :class:`~repro.service.JobEngine` as
-:class:`ScenarioJob` specs.  Each family's executor is a *differential
-oracle*: the scenario passes only when two independent computations of
-the same workload agree bitwise (interpreter vs compiled backends at
-O0/O1/O2, batch vs sequential, crashed-and-recovered vs uninterrupted,
-first run vs second run) — or, for the ``defect`` family, when the
-static checker fires exactly the codes the builder plants.  The one
+seed into a :class:`~repro.scenarios.spec.ScenarioSpec`, and runs each
+round's scenarios on the calling thread plus at most ``workers - 1``
+helper threads (:func:`repro._fanout.fan_out`).  Each family's executor
+is a *differential oracle*: the scenario passes only when two
+independent computations of the same workload agree bitwise
+(interpreter vs compiled backends at O0/O1/O2, batch vs sequential,
+crashed-and-recovered vs uninterrupted, first run vs second run) — or,
+for the ``defect`` family, when the static checker fires exactly the
+codes the builder plants.  The one
 sanctioned relaxation: comparisons *across* opt levels tolerate
 last-ulp drift when the O2 fuser reassociated arithmetic; backend-vs-
 interpreter comparisons at the same level stay exact always.
@@ -38,6 +39,7 @@ from typing import (
 
 import numpy as np
 
+from repro._fanout import fan_out
 from repro.scenarios.coverage import CampaignCoverage, DIMENSIONS
 from repro.scenarios.spec import DEMOTING_SOLVERS, ScenarioSpec
 
@@ -55,6 +57,7 @@ class CampaignConfig:
 
     count: int = 200
     seed: int = 0
+    #: scenarios in flight, the calling thread included
     workers: int = 4
     #: compiled backends to differentially compare against the
     #: interpreter (None: compiled-python, plus native-c when usable)
@@ -752,35 +755,6 @@ def execute_scenario(
 
 
 # ----------------------------------------------------------------------
-# the engine-facing job spec
-# ----------------------------------------------------------------------
-def _scenario_job_class():
-    """Build the ScenarioJob dataclass lazily (keeps the service layer
-    an execution detail of the runner, not an import-time dependency)."""
-    global ScenarioJob
-    if ScenarioJob is not None:
-        return ScenarioJob
-    from repro.service.jobs import JobSpec
-
-    @dataclass
-    class _ScenarioJob(JobSpec):
-        scenario: Optional[ScenarioSpec] = None
-        campaign: Optional[CampaignConfig] = None
-
-        kind = "scenario"
-
-        def execute(self, ctx) -> ScenarioOutcome:
-            ctx.checkpoint()
-            return execute_scenario(self.scenario, self.campaign)
-
-    ScenarioJob = _ScenarioJob
-    return ScenarioJob
-
-
-ScenarioJob: Optional[type] = None
-
-
-# ----------------------------------------------------------------------
 # reports
 # ----------------------------------------------------------------------
 @dataclass
@@ -927,45 +901,29 @@ class CampaignRunner:
 
     # -- execution -----------------------------------------------------
     def run(self) -> CampaignReport:
-        from repro.service import JobEngine
-
         config = self.config
-        job_class = _scenario_job_class()
-        engine = JobEngine(
-            workers=config.workers,
-            queue_limit=max(64, 2 * config.round_size),
-        )
         index = 0
-        try:
-            while len(self.outcomes) < config.count:
-                want = min(
-                    config.round_size, config.count - len(self.outcomes),
-                )
-                specs, index = self._select_round(index, want)
-                handles = [
-                    engine.submit(job_class(
-                        name=f"scenario-{spec.seed}",
-                        scenario=spec, campaign=config,
-                    ))
-                    for spec in specs
-                ]
-                round_outcomes = [
-                    handle.result(timeout=600) for handle in handles
-                ]
-                # merge in seed-stream order: the ledger (and therefore
-                # next round's steering) is independent of worker timing
-                for outcome in round_outcomes:
-                    self.outcomes.append(outcome)
-                    self.ledger.merge_outcome(outcome.coverage)
-        finally:
-            engine.shutdown()
+        while len(self.outcomes) < config.count:
+            want = min(
+                config.round_size, config.count - len(self.outcomes),
+            )
+            specs, index = self._select_round(index, want)
+            round_outcomes = fan_out(
+                lambda spec: execute_scenario(spec, config), specs,
+                config.workers,
+            )
+            # merge in seed-stream order: the ledger (and therefore
+            # next round's steering) is independent of worker timing
+            for outcome in round_outcomes:
+                self.outcomes.append(outcome)
+                self.ledger.merge_outcome(outcome.coverage)
         return self.report()
 
     def run_over_cluster(
         self, url: str, timeout: float = 600.0
     ) -> CampaignReport:
         """Drive the campaign against a running ``repro.cluster`` HTTP
-        endpoint instead of an in-process JobEngine.
+        endpoint instead of in-process threads.
 
         Steering stays coordinator-side (the ledger merges in seed-
         stream order, exactly as :meth:`run`); only scenario execution

@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0,
                      help="master seed of the scenario stream")
     run.add_argument("--workers", type=int, default=4,
-                     help="JobEngine worker threads")
+                     help="scenarios in flight, the calling thread "
+                          "included")
     run.add_argument("--round-size", type=int, default=32,
                      help="scenarios per steering round")
     run.add_argument("--t-end", type=float, default=0.25,

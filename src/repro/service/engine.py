@@ -184,12 +184,16 @@ class JobEngine:
         while True:
             item = self._queue.get()
             handle = item if self.dispatch == "fifo" else item[3]
+            # bind no job while blocked in get(): an idle worker would
+            # keep its last handle, and so the job's result, alive
+            del item
             if handle is _SHUTDOWN:
                 self._queue.task_done()
                 return
             try:
                 self._run_job(handle)
             finally:
+                del handle
                 self._queue.task_done()
                 self.metrics.gauge("queue.depth").set(self._queue.qsize())
 

@@ -12,8 +12,10 @@ else.
 
 from __future__ import annotations
 
+import gc
 import time
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,3 +142,54 @@ def test_a_checkpointed_job_leaves_only_its_spool(tmp_path):
     assert [p for p in paths if not p.startswith(spool + "/")] == [
         "jobs", "jobs/job-c", spool,
     ]
+
+
+class Payload:
+    """A picklable result a weak reference can watch."""
+
+
+@dataclass
+class PayloadSpec(JobSpec):
+    """Returns a fresh :class:`Payload`, keeping a weak reference."""
+
+    kind = "single_run"
+    results: list = field(default_factory=list)
+
+    def execute(self, ctx):
+        payload = Payload()
+        self.results.append(weakref.ref(payload))
+        return payload
+
+
+class OneJobFeed:
+    """Hands out one envelope; on the next pull, while the worker is
+    idle, records whether that job's envelope and results still live."""
+
+    def __init__(self, envelope, results) -> None:
+        self.envelope = weakref.ref(envelope)
+        self.results = results
+        self.messages = [(worker.MSG_JOB, envelope)]
+        self.idle_alive = None
+
+    def get(self):
+        if self.messages:
+            return self.messages.pop()
+        gc.collect()
+        self.idle_alive = [
+            self.envelope() is not None,
+            [ref() is not None for ref in self.results],
+        ]
+        return (worker.MSG_STOP,)
+
+
+def test_an_idle_worker_keeps_no_finished_job_alive(tmp_path, monkeypatch):
+    spec = PayloadSpec()
+    monkeypatch.setattr(worker, "build_spec", lambda *a, **k: spec)
+    request = ClusterJobRequest(
+        kind="single_run", model="lag", checkpoint=False,
+    )
+    feed = OneJobFeed(
+        worker.JobEnvelope("job-p", request, epoch=1), spec.results,
+    )
+    worker.worker_main(0, feed, Outbox(), CancelCell(), str(tmp_path))
+    assert feed.idle_alive == [False, [False]]

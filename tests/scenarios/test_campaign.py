@@ -97,6 +97,12 @@ class TestRunner:
         assert first.count == 8
         assert first.to_dict() == second.to_dict()
 
+    def test_report_is_independent_of_workers(self):
+        serial = CampaignRunner(small_config(workers=1)).run()
+        parallel = CampaignRunner(small_config(workers=3)).run()
+        assert serial.ok, serial.divergences
+        assert serial.to_dict() == parallel.to_dict()
+
     def test_steering_changes_selection_but_not_meaning(self):
         steered = CampaignRunner(small_config(count=6)).run()
         unsteered = CampaignRunner(

@@ -7,8 +7,10 @@ released and the pool keeps serving subsequent jobs.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, List
 
@@ -84,6 +86,18 @@ class CrashJob(JobSpec):
         raise RuntimeError("hard failure")
 
 
+class Payload:
+    """A result a weak reference can watch."""
+
+
+@dataclass
+class PayloadJob(JobSpec):
+    kind = "payload"
+
+    def execute(self, ctx: JobContext) -> Payload:
+        return Payload()
+
+
 class TestLifecycle:
     def test_done_job_returns_result(self):
         with JobEngine(workers=2) as engine:
@@ -114,6 +128,17 @@ class TestLifecycle:
                 if event.kind == STATE
             ]
             assert states == ["running", "done"]
+
+    @pytest.mark.parametrize("dispatch", ["fifo", "edf"])
+    def test_idle_worker_keeps_no_finished_job_alive(self, dispatch):
+        with JobEngine(workers=1, dispatch=dispatch) as engine:
+            handle = engine.submit(PayloadJob())
+            result = weakref.ref(handle.result(timeout=10.0))
+            assert engine.drain(timeout=10.0)
+            del handle
+            gc.collect()
+            # the worker now blocks for the next job, holding nothing
+            assert result() is None
 
 
 class TestDeadlines:

@@ -5,7 +5,9 @@ Package ``__init__`` modules resolve their re-exported names through
 its work needs.  These tests pin that down: a cluster worker boots
 without the HTTP front-end, the pool, the scenario engine or the
 schedulability engine; no process, not even one that serves and calls
-the cluster over HTTP, loads an event loop or a TLS stack; every
+the cluster over HTTP, loads an event loop or a TLS stack; the
+library's fan-outs (native-batch shards, real-thread slices, campaign
+rounds) load no ``concurrent.futures`` pool and no job engine; every
 exported name still resolves (and matches the ``TYPE_CHECKING`` imports
 static tools read); and the registries that importing fills are
 unchanged.
@@ -26,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.backend import has_c_compiler
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
@@ -51,6 +54,8 @@ WORKER_NEVER_IMPORTS = (
     "repro.scenarios",
     "repro.analysis.schedulability",
     "repro.service.engine",
+    "concurrent.futures",
+    "logging",
 )
 
 
@@ -138,6 +143,73 @@ with tempfile.TemporaryDirectory() as root:
 print(json.dumps([[state.value, error] for state, __, error in states]))
 print(json.dumps(list(sys.modules)))
 """
+
+
+#: the three fan-outs on plain threads: a 2-shard native-batch sweep
+#: (with a compiler), a two-thread ``real_threads=True`` hybrid run and
+#: a one-worker campaign on a ``dag`` seed; counts the threads the
+#: campaign starts, prints the outcomes and the loaded modules
+FAN_OUTS = """
+import json, sys, threading
+starts = []
+_start = threading.Thread.start
+
+def counting(self):
+    starts.append(self.name)
+    _start(self)
+
+threading.Thread.start = counting
+
+from repro.core.backend import has_c_compiler
+from repro.core.batch import BatchSimulator
+from repro.core.model import HybridModel
+from repro.dataflow import Diagram, FirstOrderLag, Integrator, Sine
+from repro.scenarios.campaign import CampaignConfig, CampaignRunner
+from repro.scenarios.spec import ScenarioSpec
+
+shards = None
+if has_c_compiler():
+    d = Diagram("lag")
+    d.add(Sine("src", amplitude=1.0, freq=1.0))
+    d.add(FirstOrderLag("lag", tau=0.2))
+    d.connect("src.out", "lag.in")
+    sim = BatchSimulator(
+        d, 8, solver="rk4", h=1.0 / 512.0, records=["lag.out"],
+        sweeps={"lag.tau": [0.1 + i / 64 for i in range(8)]},
+        backend="native-batch", shards=2,
+    )
+    sim.run(0.1)
+    shards = [sim.backend_name, sim.shards]
+
+model = HybridModel("two")
+fast = model.create_thread("fast", solver="rk4", h=1e-3)
+src = model.add_streamer(Sine("src", amplitude=1.0, freq=2.0), thread=fast)
+lag = model.add_streamer(FirstOrderLag("lag", tau=0.1), thread=fast)
+slow = model.add_streamer(Integrator("slow"))
+model.add_flow(src.dport("out"), lag.dport("in"))
+model.add_flow(lag.dport("out"), slow.dport("in"))
+model.run(until=0.1, sync_interval=0.02, real_threads=True)
+
+master = 0
+while True:
+    config = CampaignConfig(
+        count=1, seed=master, workers=1, steer=False, round_size=1,
+        t_end=0.05,
+    )
+    runner = CampaignRunner(config)
+    if ScenarioSpec.from_seed(runner.seed_for(0)).family == "dag":
+        break
+    master += 1
+del starts[:]
+report = runner.run()
+print(json.dumps([shards, report.ok, report.families, starts]))
+print(json.dumps(list(sys.modules)))
+"""
+
+#: what a ``concurrent.futures`` pool or a job engine would bring in
+FAN_OUT_NEVER_IMPORTS = (
+    "concurrent.futures", "logging", "repro.service.engine",
+)
 
 
 def fresh_python(code: str) -> str:
@@ -260,6 +332,24 @@ class TestNetworkFootprint:
         assert outcome == ["done", True, "end"]
         assert set(loaded).isdisjoint(NETWORK_STACK), sorted(
             set(loaded).intersection(NETWORK_STACK)
+        )
+
+
+class TestThreadModel:
+    def test_fan_outs_load_no_pool_and_the_campaign_starts_no_thread(
+        self,
+    ):
+        outcome, loaded = map(
+            json.loads, fresh_python(FAN_OUTS).splitlines(),
+        )
+        shards, ok, families, started = outcome
+        assert shards == (
+            ["native-batch", 2] if has_c_compiler() else None
+        )
+        assert ok and families == {"dag": 1}
+        assert started == []
+        assert set(loaded).isdisjoint(FAN_OUT_NEVER_IMPORTS), sorted(
+            set(loaded).intersection(FAN_OUT_NEVER_IMPORTS)
         )
 
 
