@@ -108,9 +108,6 @@ class CheckContext:
     def in_edges_of(self, leaf: Streamer) -> List[ResolvedEdge]:
         return [e for e in self.edges if e.dst_leaf is leaf]
 
-    def out_edges_of(self, leaf: Streamer) -> List[ResolvedEdge]:
-        return [e for e in self.edges if e.src_leaf is leaf]
-
     def port_is_read(self, port: DPort) -> bool:
         """True if anything downstream consumes or observes this pad."""
         if id(port) in self.probed_ids:

@@ -54,13 +54,15 @@ from repro.cluster.worker import (
     MSG_DONE, MSG_EVENT, MSG_JOB, MSG_READY, MSG_STARTED, MSG_STOP,
     JobEnvelope, result_from_wire, worker_main,
 )
-from repro.core.channel import Channel, ChannelPolicy
-from repro.service.admission import CostModel, DeadlineAdmission
-from repro.service.jobs import (
-    JobCancelledError, JobError, JobState, JobTimeoutError,
-)
+from repro.service.admission import DeadlineAdmission
+from repro.service.jobs import JobHandle, JobState
 from repro.service import telemetry
 from repro.service.telemetry import MetricsRegistry, TelemetryEvent
+
+
+#: stop respawning one worker slot after this many deaths: a worker
+#: that cannot even boot would otherwise respawn in a tight loop
+MAX_WORKER_DEATHS = 16
 
 
 @dataclass
@@ -74,84 +76,32 @@ class ClusterConfig:
     per_client_limit: int = 64
     #: migration budget per job — re-dispatches after worker deaths
     max_migrations: int = 3
-    #: respawn a replacement when a worker process dies
-    respawn: bool = True
-    #: stop respawning one slot after this many deaths (a worker that
-    #: cannot even boot would otherwise respawn in a tight loop)
-    max_worker_deaths: int = 16
-    #: steal from other workers' deques when the own deque runs dry
-    steal: bool = True
     default_opt_level: int = 0
-    #: per-worker plan-cache capacity
-    cache_capacity: int = 64
-    #: EMA smoothing for the job wall-time estimate feeding admission
-    ema_alpha: float = 0.2
-    #: reject when the predicted completion exceeds ``deadline * margin``
-    admission_margin: float = 1.0
-    #: per-job telemetry channel capacity (OVERWRITE beyond it)
-    channel_capacity: int = 1024
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ClusterError(f"need at least one worker: {self.workers}")
-        if not 0.0 < self.ema_alpha <= 1.0:
-            raise ClusterError(f"ema_alpha out of (0, 1]: {self.ema_alpha}")
 
 
-class ClusterJobHandle:
-    """The coordinator-side view of one submitted cluster job."""
+class ClusterJobHandle(JobHandle):
+    """The coordinator-side view of one submitted cluster job: a
+    :class:`~repro.service.jobs.JobHandle` over its request, plus where
+    it runs.  ``error`` is the worker's formatted message."""
 
     def __init__(
-        self, job_id: str, request: ClusterJobRequest, capacity: int
+        self, job_id: str, request: ClusterJobRequest, pool: "WorkerPool",
     ) -> None:
-        self.id = job_id
+        super().__init__(job_id, request)
         self.request = request
-        self.channel = Channel(
-            f"cluster:{job_id}", capacity=capacity,
-            policy=ChannelPolicy.OVERWRITE,
-        )
-        self.state = JobState.PENDING
-        self.result_value: Any = None
-        self.error: Optional[str] = None
-        self.attempts = 0
         self.migrations = 0
         self.worker: Optional[int] = None
-        self.submitted_at = time.monotonic()
-        self.started_at: Optional[float] = None
-        self.finished_at: Optional[float] = None
-        self._done = threading.Event()
+        self._pool = pool
 
-    def _finish(
-        self, state: JobState, result: Any = None, error: Optional[str] = None
-    ) -> None:
-        self.state = state
-        self.result_value = result
-        self.error = error
-        self.finished_at = time.monotonic()
-        self.channel.close()
-        self._done.set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._done.wait(timeout)
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        """The job's result; raises the matching error otherwise."""
-        if not self._done.wait(timeout):
-            raise JobTimeoutError(
-                f"timed out waiting for cluster job {self.id} "
-                f"({self.state.value})"
-            )
-        if self.state is JobState.DONE:
-            return self.result_value
-        if self.state is JobState.CANCELLED:
-            raise JobCancelledError(f"cluster job {self.id} was cancelled")
-        if self.state is JobState.TIMEOUT:
-            raise JobTimeoutError(
-                f"cluster job {self.id} exceeded its deadline"
-            )
-        raise JobError(
-            f"cluster job {self.id} failed: {self.error or 'unknown error'}"
-        )
+    def cancel(self) -> bool:
+        """Cancel through the pool: a queued job ends CANCELLED at once,
+        a running one when its worker reads the cancel cell at the next
+        checkpoint.  False once the job is terminal."""
+        return self._pool.cancel(self.id)
 
     def status(self) -> Dict[str, Any]:
         """A JSON-shaped snapshot (what ``GET /jobs/<id>`` serves)."""
@@ -214,10 +164,7 @@ class WorkerPool:
         # the shared deadline-admission predicate (same code path the
         # in-process JobEngine uses), calibrated per job kind from the
         # wall time of every job a worker reports DONE
-        self.admission = DeadlineAdmission(
-            CostModel(alpha=self.config.ema_alpha),
-            margin=self.config.admission_margin,
-        )
+        self.admission = DeadlineAdmission()
         self._stop = threading.Event()
         self.steals = 0
         self.migrations_total = 0
@@ -250,7 +197,6 @@ class WorkerPool:
             args=(
                 worker_id, feed, send_conn, cancel_cell,
                 str(self.store.root), self.config.default_opt_level,
-                self.config.cache_capacity,
             ),
             name=f"repro-cluster-worker-{worker_id}",
             daemon=True,
@@ -290,9 +236,7 @@ class WorkerPool:
         with self._lock:
             decision = self._admit(request)
             job_id = f"cj-{next(self._job_seq):06d}"
-            handle = ClusterJobHandle(
-                job_id, request, self.config.channel_capacity,
-            )
+            handle = ClusterJobHandle(job_id, request, self)
             envelope = JobEnvelope(
                 job_id=job_id, request=request, attempt=1,
                 epoch=next(self._epoch_seq),
@@ -381,8 +325,6 @@ class WorkerPool:
         """Own deque head, else steal the longest victim's tail."""
         if slot.deque:
             return slot.deque.popleft()
-        if not self.config.steal:
-            return None
         victim = max(self._slots, key=lambda s: len(s.deque))
         if victim is slot or not victim.deque:
             return None
@@ -406,9 +348,9 @@ class WorkerPool:
             handle = self._jobs.get(envelope.job_id)
             if handle is None or handle.state.terminal:
                 continue  # cancelled while queued; take the next one
-            if envelope.deadline_remaining is not None:
-                elapsed = time.monotonic() - handle.submitted_at
-                remaining = envelope.request.deadline - elapsed
+            deadline_at = handle.deadline_at
+            if deadline_at is not None:
+                remaining = deadline_at - time.monotonic()
                 if remaining <= 0:
                     self._finish_job(handle, JobState.TIMEOUT)
                     self.metrics.counter("cluster.deadline_missed").inc()
@@ -518,7 +460,7 @@ class WorkerPool:
         result: Any = None,
         error: Optional[str] = None,
     ) -> None:
-        """The one terminal path; caller holds the lock."""
+        """The pool's one terminal path; caller holds the lock."""
         if handle.state.terminal:
             return  # finished already; its client was counted down then
         client = handle.request.client
@@ -527,8 +469,9 @@ class WorkerPool:
         else:
             del self._in_flight[client]
         self._envelopes.pop(handle.id, None)
-        # the terminal state closes the stream, as the engine's does
-        # (seq -1: a coordinator-side event, like ADMISSION)
+        # the terminal state ends the stream, as the engine's does (seq
+        # -1: a coordinator-side event, like ADMISSION); then the
+        # handle's one terminal transition closes it
         handle.channel.push(TelemetryEvent(
             kind=telemetry.STATE, job_id=handle.id, seq=-1, t=float("nan"),
             payload={"state": state.value, "error": error},
@@ -578,11 +521,7 @@ class WorkerPool:
                 if job_id != read_for:
                     latest = self.store.latest_checkpoint(job_id)
                 self._migrate(job_id, slot.worker_id, latest)
-            if (
-                self.config.respawn
-                and not self._stop.is_set()
-                and slot.deaths <= self.config.max_worker_deaths
-            ):
+            if not self._stop.is_set() and slot.deaths <= MAX_WORKER_DEATHS:
                 self._slots[slot.worker_id] = self._spawn_slot(
                     slot.worker_id, old=slot,
                 )

@@ -44,7 +44,7 @@ import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.cluster.requests import ClusterJobRequest, build_spec
 from repro.cluster.store import ArtifactStore
@@ -115,7 +115,6 @@ class _WorkerHandle:
         self.id = job_id
         self.spec = spec
         self.attempts = attempts
-        self.state = JobState.RUNNING
         self._epoch = epoch
         self._cancel_cell = cancel_cell
         self._deadline_at = (
@@ -150,11 +149,10 @@ def worker_main(
     cancel_cell,
     store_root: str,
     default_opt_level: int = 0,
-    cache_capacity: int = 64,
 ) -> None:
     """The worker process entry point: pull, execute, report, repeat."""
     store = ArtifactStore(store_root)
-    cache = PlanCache(capacity=cache_capacity)
+    cache = PlanCache(capacity=64)
     while True:
         outbox.send((MSG_READY, worker_id))
         message = feed.get()
@@ -228,10 +226,3 @@ def result_from_wire(result_bytes: bytes) -> Any:
     if not result_bytes:
         return None
     return pickle.loads(result_bytes)
-
-
-#: what the coordinator knows about outcomes: wire states map onto the
-#: service's JobState vocabulary one to one
-WIRE_STATES: Dict[str, JobState] = {
-    state.value: state for state in JobState
-}

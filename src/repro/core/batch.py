@@ -732,17 +732,6 @@ class BatchSimulator:
         ) = namespace["_build"](self.n, self._P)
 
     # ------------------------------------------------------------------
-    # execution-backend adapter
-    # ------------------------------------------------------------------
-    def as_program(self):
-        """This simulator behind the uniform
-        :class:`~repro.core.backend.base.BackendProgram` surface (the
-        same adapter the ``batch`` registry entry returns)."""
-        from repro.core.backend.batchentry import BatchProgramAdapter
-
-        return BatchProgramAdapter(self)
-
-    # ------------------------------------------------------------------
     # checkpointing hooks (resilience layer)
     # ------------------------------------------------------------------
     def held_state(self) -> Dict[str, np.ndarray]:

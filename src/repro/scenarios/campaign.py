@@ -34,7 +34,7 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+    Any, Dict, FrozenSet, List, Optional, Set, Tuple,
 )
 
 import numpy as np
@@ -155,34 +155,18 @@ class _Recorder:
 # comparison helpers
 # ----------------------------------------------------------------------
 def _diff_series(
-    reference, candidate, label: str
+    reference, candidate, label: str, rtol: Optional[float] = None,
 ) -> Optional[str]:
-    """A divergence message comparing two ProgramResults, or None."""
-    if not np.array_equal(reference.t, candidate.t):
-        return f"{label}: time grids differ"
-    if set(reference.series) != set(candidate.series):
-        return (
-            f"{label}: record keys differ "
-            f"({sorted(reference.series)} vs {sorted(candidate.series)})"
-        )
-    for key in sorted(reference.series):
-        if not np.array_equal(reference.series[key], candidate.series[key]):
-            return f"{label}: series {key!r} diverges"
-    if not np.array_equal(reference.final_state, candidate.final_state):
-        return f"{label}: final states differ"
-    return None
+    """A divergence message comparing two run results, or None.
 
-
-def _diff_series_tol(
-    reference, candidate, label: str, rtol: float
-) -> Optional[str]:
-    """Like :func:`_diff_series`, but values compare within ``rtol``.
-
-    Used only across optimizer levels whose plan *reassociated*
-    arithmetic (O2 fusion): ``(a + b) + c`` and ``a + (b + c)`` differ
-    in the last ulps, which is a property of float addition, not a
-    miscompile.  Time grids and record keys must still match exactly —
-    reassociation never changes the schedule.
+    Both are scalar-backend results (a ``final_state`` vector) or both
+    batch results (an ``(n, n_state)`` ``final_states`` matrix).
+    Values compare bitwise, or within ``rtol`` when given: only across
+    optimizer levels whose plan *reassociated* arithmetic (O2 fusion),
+    where ``(a + b) + c`` and ``a + (b + c)`` differ in the last ulps —
+    a property of float addition, not a miscompile.  Time grids and
+    record keys always compare exactly: reassociation never changes the
+    schedule.
     """
     if not np.array_equal(reference.t, candidate.t):
         return f"{label}: time grids differ"
@@ -191,18 +175,34 @@ def _diff_series_tol(
             f"{label}: record keys differ "
             f"({sorted(reference.series)} vs {sorted(candidate.series)})"
         )
+    if rtol is None:
+        same, beyond = np.array_equal, ""
+    else:
+        def same(a, b) -> bool:
+            return np.allclose(a, b, rtol=rtol, atol=rtol, equal_nan=True)
+
+        beyond = f" beyond rtol={rtol:g}"
     for key in sorted(reference.series):
-        if not np.allclose(
-            reference.series[key], candidate.series[key],
-            rtol=rtol, atol=rtol, equal_nan=True,
-        ):
-            return f"{label}: series {key!r} diverges beyond rtol={rtol:g}"
-    if not np.allclose(
-        reference.final_state, candidate.final_state,
-        rtol=rtol, atol=rtol, equal_nan=True,
-    ):
-        return f"{label}: final states differ beyond rtol={rtol:g}"
+        if not same(reference.series[key], candidate.series[key]):
+            return f"{label}: series {key!r} diverges{beyond}"
+    finals = (
+        "final_states" if hasattr(reference, "final_states")
+        else "final_state"
+    )
+    if not same(getattr(reference, finals), getattr(candidate, finals)):
+        return f"{label}: final states differ{beyond}"
     return None
+
+
+def _trajectory_matrix(trajectory) -> np.ndarray:
+    """A probe's trajectory as one array: a row per sample, its time
+    and then its flattened state."""
+    return np.column_stack([
+        np.asarray(trajectory.times, dtype=float),
+        np.asarray(trajectory.states, dtype=float).reshape(
+            len(trajectory), -1
+        ),
+    ])
 
 
 def _plan_reassociates(plan, level: int) -> bool:
@@ -322,12 +322,11 @@ def _run_differential(
             interp[level], SolverError,
         ):
             detail = _diff_failure(interp[base], interp[level], label, head)
-        elif reassociated[level]:
-            detail = _diff_series_tol(
-                interp[base], interp[level], label, config.reassoc_rtol,
-            )
         else:
-            detail = _diff_series(interp[base], interp[level], label)
+            detail = _diff_series(
+                interp[base], interp[level], label,
+                config.reassoc_rtol if reassociated[level] else None,
+            )
         if detail:
             return detail
     for (backend, level), request in compiled.items():
@@ -434,44 +433,6 @@ def _check_generated(
     return None
 
 
-def _diff_batch(reference, candidate, label: str) -> Optional[str]:
-    """Bitwise comparison of two batch results (``(T, n)`` series plus
-    ``(n, n_state)`` final matrices)."""
-    if not np.array_equal(reference.t, candidate.t):
-        return f"{label}: time grids differ"
-    if set(reference.series) != set(candidate.series):
-        return f"{label}: record keys differ"
-    for key in sorted(reference.series):
-        if not np.array_equal(reference.series[key], candidate.series[key]):
-            return f"{label}: series {key!r} diverges"
-    if not np.array_equal(reference.final_states, candidate.final_states):
-        return f"{label}: final states differ"
-    return None
-
-
-def _diff_batch_tol(
-    reference, candidate, label: str, rtol: float
-) -> Optional[str]:
-    """:func:`_diff_batch` with value tolerance (reassociated O2 plans
-    only); grids and keys still compare exactly."""
-    if not np.array_equal(reference.t, candidate.t):
-        return f"{label}: time grids differ"
-    if set(reference.series) != set(candidate.series):
-        return f"{label}: record keys differ"
-    for key in sorted(reference.series):
-        if not np.allclose(
-            reference.series[key], candidate.series[key],
-            rtol=rtol, atol=rtol, equal_nan=True,
-        ):
-            return f"{label}: series {key!r} diverges beyond rtol={rtol:g}"
-    if not np.allclose(
-        reference.final_states, candidate.final_states,
-        rtol=rtol, atol=rtol, equal_nan=True,
-    ):
-        return f"{label}: final states differ beyond rtol={rtol:g}"
-    return None
-
-
 def _run_batch(
     spec: ScenarioSpec, config: CampaignConfig, rec: _Recorder
 ) -> Optional[str]:
@@ -534,7 +495,7 @@ def _run_batch(
     rec.solver(solver)
     rec.backend("batch")
     rec.backend("interpreter")
-    detail = _diff_batch(sequential, batch, "batch vs sequential")
+    detail = _diff_series(sequential, batch, "batch vs sequential")
     if detail:
         return detail
     if not native:
@@ -552,13 +513,11 @@ def _run_batch(
         if level:
             rec.opt_report(native_sim.plan)
         native = native_sim.run(config.t_end)
-        label = f"native-batch O{level} vs sequential"
-        if _plan_reassociates(native_sim.plan, level):
-            detail = _diff_batch_tol(
-                sequential, native, label, config.reassoc_rtol,
-            )
-        else:
-            detail = _diff_batch(sequential, native, label)
+        detail = _diff_series(
+            sequential, native, f"native-batch O{level} vs sequential",
+            config.reassoc_rtol
+            if _plan_reassociates(native_sim.plan, level) else None,
+        )
         if detail:
             return detail
     return None
@@ -604,10 +563,24 @@ def _run_solver(
 def _run_fault(
     spec: ScenarioSpec, config: CampaignConfig, rec: _Recorder
 ) -> Optional[str]:
-    """fault: crash + checkpoint resume must land on the same finals."""
+    """fault: crash + checkpoint resume must land on the same finals.
+
+    Both jobs run on the calling thread through the service's attempt
+    loop, as a cluster worker runs its envelopes: the faulted job's
+    retried attempt resumes from its spool's newest checkpoint.
+    """
     from repro.resilience import FaultInjector
-    from repro.service import JobEngine
-    from repro.service.jobs import SingleRunJob
+    from repro.service.jobs import (
+        JobContext, JobHandle, SingleRunJob, run_attempts,
+    )
+    from repro.service.telemetry import MetricsRegistry
+
+    def run(job: SingleRunJob):
+        handle = JobHandle(job.name, job)
+        handle._finish(*run_attempts(
+            job, JobContext(handle), MetricsRegistry(),
+        ))
+        return handle.result()
 
     t_end = 0.4
     crash_step = spec.params["crash_step"]
@@ -616,33 +589,25 @@ def _run_fault(
         os.makedirs(spool, exist_ok=True)
     else:
         spool = tempfile.mkdtemp(prefix=f"scenario-fault-{spec.seed}-")
-    engine = JobEngine(workers=1)
-    try:
-        baseline = engine.submit(SingleRunJob(
-            name=f"baseline-{spec.seed}", model_factory=spec.build,
-            t_end=t_end, validate=False,
-        )).result(timeout=120)
-        injector = FaultInjector(seed=spec.seed).crash_at_step(crash_step)
-        recovered = engine.submit(SingleRunJob(
-            name=f"faulted-{spec.seed}", model_factory=spec.build,
-            t_end=t_end, validate=False, retries=2, backoff=0.0,
-            checkpoint_dir=spool, checkpoint_every_steps=10,
-            fault_injector=injector,
-        )).result(timeout=120)
-    finally:
-        engine.shutdown()
+    baseline = run(SingleRunJob(
+        name=f"baseline-{spec.seed}", model_factory=spec.build,
+        t_end=t_end, validate=False,
+    ))
+    injector = FaultInjector(seed=spec.seed).crash_at_step(crash_step)
+    recovered = run(SingleRunJob(
+        name=f"faulted-{spec.seed}", model_factory=spec.build,
+        t_end=t_end, validate=False, retries=2, backoff=0.0,
+        checkpoint_dir=spool, checkpoint_every_steps=10,
+        fault_injector=injector,
+    ))
     rec.backend("interpreter")
     rec.solver("rk4")
-
-    def matrix(trajectory) -> np.ndarray:
-        states = np.asarray(trajectory.states, dtype=float)
-        return np.column_stack([
-            np.asarray(trajectory.times, dtype=float),
-            states.reshape(len(trajectory), -1),
-        ])
-
-    probes = {name: matrix(t) for name, t in recovered.probes.items()}
-    reference = {name: matrix(t) for name, t in baseline.probes.items()}
+    probes = {
+        name: _trajectory_matrix(t) for name, t in recovered.probes.items()
+    }
+    reference = {
+        name: _trajectory_matrix(t) for name, t in baseline.probes.items()
+    }
     if spec.seed in config.mutate_seeds and probes:
         probes[sorted(probes)[0]][-1, -1] += 1.0
     if set(probes) != set(reference):
@@ -653,19 +618,6 @@ def _run_fault(
         if not np.array_equal(probes[name], reference[name]):
             return f"fault recovery: probe {name!r} diverges"
     return None
-
-
-def _probe_arrays(model, names: Sequence[str]) -> Dict[str, np.ndarray]:
-    out = {}
-    for name in names:
-        trajectory = model.probe(name)
-        out[name] = np.column_stack([
-            np.asarray(trajectory.times, dtype=float),
-            np.asarray(trajectory.states, dtype=float).reshape(
-                len(trajectory), -1
-            ),
-        ])
-    return out
 
 
 def _run_multirate(
@@ -681,7 +633,9 @@ def _run_multirate(
     for __ in range(2):
         model = spec.build()
         model.run(0.2, validate=False)
-        runs.append(_probe_arrays(model, names))
+        runs.append({
+            name: _trajectory_matrix(model.probe(name)) for name in names
+        })
     result = run_checks(spec.build())
     rec.rules(d.code for d in result.diagnostics)
     rec.solver("rk4")

@@ -97,30 +97,11 @@ class CampaignCoverage:
             raise KeyError(f"unknown coverage dimension {dim!r}")
         self.hit[dim].update(values)
 
-    def record_rules(self, codes: Iterable[str]) -> None:
-        self.record("rules", codes)
-
     def record_solver(self, solver: str) -> None:
         self.record("solvers", [solver])
 
     def record_backend(self, backend: str) -> None:
         self.record("backends", [backend])
-
-    def record_plan(self, plan) -> None:
-        """Leaf opcodes of a compiled :class:`ExecutionPlan`."""
-        self.record(
-            "opcodes",
-            (type(node.leaf).__name__ for node in plan.nodes),
-        )
-
-    def record_opt_report(self, counts: Mapping[str, int]) -> None:
-        """Passes that rewrote, from ``plan.opt_report.counts()``."""
-        fired = {
-            key.split(".", 1)[0]
-            for key, value in counts.items()
-            if value and key.split(".", 1)[0] in self.universe["passes"]
-        }
-        self.record("passes", fired)
 
     def merge_outcome(self, outcome: Mapping[str, Iterable[str]]) -> None:
         """Fold one scenario's ``{dim: values}`` outcome sets in."""

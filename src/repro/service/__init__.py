@@ -106,11 +106,9 @@ class SimulationService:
         queue_limit: int = 64,
         cache_capacity: int = 128,
         check_policy: str = "off",
-        check_config: Optional[Any] = None,
         default_opt_level: int = 0,
         dispatch: str = "fifo",
         deadline_admission: bool = False,
-        admission_margin: float = 1.0,
     ) -> None:
         if check_policy not in CHECK_POLICIES:
             raise ValueError(
@@ -118,7 +116,6 @@ class SimulationService:
                 f"{check_policy!r}"
             )
         self.check_policy = check_policy
-        self.check_config = check_config
         #: plan-optimizer level applied to jobs that don't set their own
         #: ``opt_level``; each level keys the cache separately, so a
         #: service can change its default without serving stale artefacts
@@ -135,10 +132,7 @@ class SimulationService:
         #: submission, rejecting jobs whose predicted completion already
         #: misses their deadline; ``dispatch="edf"`` additionally orders
         #: the queue by earliest absolute deadline
-        self.admission = (
-            DeadlineAdmission(margin=admission_margin)
-            if deadline_admission else None
-        )
+        self.admission = DeadlineAdmission() if deadline_admission else None
         self.engine = JobEngine(
             workers=workers,
             queue_limit=queue_limit,
@@ -174,7 +168,7 @@ class SimulationService:
             return None
         from repro.check import run_checks
 
-        result = run_checks(target, config=self.check_config)
+        result = run_checks(target)
         spec._check_memo = result
         return result
 
@@ -217,24 +211,6 @@ class SimulationService:
                 diagnostics=[d.to_json() for d in result.diagnostics],
             )
         return handle
-
-    def submit_single_run(self, model_factory, t_end, **options) -> JobHandle:
-        """Convenience: submit a :class:`SingleRunJob`."""
-        return self.submit(SingleRunJob(
-            model_factory=model_factory, t_end=t_end, **options,
-        ))
-
-    def submit_batch(self, diagram_factory, n, t_end, **options) -> JobHandle:
-        """Convenience: submit a :class:`BatchJob`."""
-        return self.submit(BatchJob(
-            diagram_factory=diagram_factory, n=n, t_end=t_end, **options,
-        ))
-
-    def submit_codegen(self, diagram_factory, **options) -> JobHandle:
-        """Convenience: submit a :class:`CodegenJob`."""
-        return self.submit(CodegenJob(
-            diagram_factory=diagram_factory, **options,
-        ))
 
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, Any]:

@@ -131,7 +131,6 @@ class JobEngine:
                     f"exceeds deadline {decision.deadline:.3g}s"
                 )
                 handle._finish(JobState.FAILED, error=error)
-                handle.channel.close()
                 raise error
             self.metrics.counter("sched.admitted").inc()
         try:
@@ -145,7 +144,6 @@ class JobEngine:
                     f"job {job_id} shed"
                 ),
             )
-            handle.channel.close()
             raise ServiceOverloaded(
                 f"service overloaded: {self.queue_limit} jobs already "
                 "queued"
@@ -222,8 +220,14 @@ class JobEngine:
         result: Any = None,
         error: Optional[BaseException] = None,
     ) -> None:
+        """The terminal ``state`` event, then the handle's one terminal
+        transition (:meth:`JobHandle._finish`), then the metrics."""
         if handle.started_at is None:
             handle.started_at = time.monotonic()
+        emitter.emit(
+            STATE, state=state.value,
+            error=None if error is None else str(error),
+        )
         handle._finish(state, result=result, error=error)
         self.metrics.counter(f"jobs.{state.value}").inc()
         if handle.wall_time is not None and state is JobState.DONE:
@@ -243,11 +247,6 @@ class JobEngine:
                 "sched.deadline_met" if met else "sched.deadline_missed"
             ).inc()
             self.metrics.histogram("sched.lateness").observe(lateness)
-        emitter.emit(
-            STATE, state=state.value,
-            error=None if error is None else str(error),
-        )
-        handle.channel.close()
 
     # ------------------------------------------------------------------
     # lifecycle

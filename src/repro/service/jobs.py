@@ -200,22 +200,28 @@ class JobContext:
 
 
 class JobHandle:
-    """The caller's view of one submitted job."""
+    """The caller's view of one submitted job, on the engine and on the
+    cluster alike: its state, timestamps, result and event channel.
 
-    def __init__(
-        self,
-        job_id: str,
-        spec: "JobSpec",
-        channel: Optional[Channel] = None,
-    ) -> None:
+    The side that runs the job ends it in two steps: it puts the
+    terminal ``state`` event on the channel, then calls :meth:`_finish`,
+    the one terminal transition.  So whoever :meth:`wait` wakes finds
+    the terminal event already on the closed stream.
+    """
+
+    def __init__(self, job_id: str, spec: Any) -> None:
         self.id = job_id
+        #: what the job runs: a :class:`JobSpec`, or a cluster request
+        #: (anything with a ``kind`` and a ``deadline``)
         self.spec = spec
-        self.channel = channel if channel is not None else Channel(
+        self.channel = Channel(
             f"job:{job_id}", capacity=1024, policy=ChannelPolicy.OVERWRITE,
         )
         self.state = JobState.PENDING
         self.result_value: Any = None
-        self.error: Optional[BaseException] = None
+        #: the failure: the exception raised, or a cluster worker's
+        #: formatted message (an exception does not cross its process)
+        self.error: Any = None
         self.attempts = 0
         self.submitted_at = time.monotonic()
         self.started_at: Optional[float] = None
@@ -231,15 +237,14 @@ class JobHandle:
         return self.submitted_at + self.spec.deadline
 
     def _finish(
-        self,
-        state: JobState,
-        result: Any = None,
-        error: Optional[BaseException] = None,
+        self, state: JobState, result: Any = None, error: Any = None,
     ) -> None:
+        """Record the end, close the event stream, wake the waiters."""
         self.state = state
         self.result_value = result
         self.error = error
         self.finished_at = time.monotonic()
+        self.channel.close()
         self._done.set()
 
     # -- caller side ----------------------------------------------------
@@ -279,17 +284,17 @@ class JobHandle:
                 f"job {self.id} exceeded its deadline"
             )
         error = self.error
-        if error is not None:
+        if isinstance(error, BaseException):
             raise error
-        raise JobError(f"job {self.id} failed in state {self.state.value}")
+        raise JobError(f"job {self.id} failed: {error or 'unknown error'}")
 
     def stream(self) -> Iterator[TelemetryEvent]:
         """Yield telemetry events until the job's channel closes.
 
-        Safe to call before, during or after execution: the channel is
-        closed by the engine when the job reaches a terminal state, so
-        the iterator always terminates after draining what was kept
-        (under consumer lag the OVERWRITE policy drops oldest events).
+        Safe to call before, during or after execution: :meth:`_finish`
+        closes the channel after the terminal ``state`` event, so the
+        iterator always terminates after draining what was kept (under
+        consumer lag the OVERWRITE policy drops oldest events).
         """
         return iter(self.channel)
 
@@ -301,7 +306,7 @@ class JobHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"JobHandle({self.id}, {self.spec.kind}, "
+            f"{type(self).__name__}({self.id}, {self.spec.kind}, "
             f"{self.state.value})"
         )
 
@@ -359,6 +364,57 @@ def run_attempts(
                 break
             time.sleep(min(0.01, wake_at - now))
         retry += 1
+
+
+# ----------------------------------------------------------------------
+# checkpoint spools and the resume rule
+# ----------------------------------------------------------------------
+def _checkpoint_manager(
+    ctx: JobContext, directory: Optional[str], every_steps: int, keep: int,
+):
+    """The spool of a checkpointing job (None: checkpointing off)."""
+    if directory is None:
+        return None
+    from repro.resilience import CheckpointManager
+
+    return CheckpointManager(
+        directory, every_steps=every_steps, keep=keep,
+        metrics=getattr(ctx.service, "metrics", None),
+    )
+
+
+def _resume_source(
+    ctx: JobContext, manager, resume_from: Optional[str],
+) -> Optional[Tuple[Path, Any]]:
+    """``(path, snapshot)`` an attempt resumes from, or None.
+
+    A retried attempt (``handle.attempts > 1``: the last one died with
+    a :class:`TransientJobError`, or its worker died) loads the spool's
+    newest valid checkpoint; the first attempt loads ``resume_from``.
+    """
+    if ctx.handle.attempts > 1:
+        return None if manager is None else manager.load_latest()
+    if resume_from is None:
+        return None
+    from repro.resilience import decode_snapshot
+
+    source = Path(resume_from)
+    return source, decode_snapshot(source.read_bytes())
+
+
+def _announce_resume(
+    ctx: JobContext, source: Path, snapshot: Any, **payload: Any,
+) -> None:
+    """One RESUMED event and the ``jobs.resumed`` metrics for a
+    restored snapshot."""
+    ctx.emit(
+        RESUMED, t=snapshot.t, step=snapshot.step,
+        attempt=ctx.handle.attempts, **payload, path=str(source),
+    )
+    metrics = getattr(ctx.service, "metrics", None)
+    if metrics is not None:
+        metrics.counter("jobs.resumed").inc()
+        metrics.histogram("jobs.recovered_sim_time").observe(snapshot.t)
 
 
 # ----------------------------------------------------------------------
@@ -518,10 +574,22 @@ class SingleRunJob(JobSpec):
         # checkpoint manager, then the fault injector — so a checkpoint
         # due at the crash step is written before the fault fires
         scheduler.on_major_step = observe
-        manager = self._checkpoint_manager(ctx)
+        manager = _checkpoint_manager(
+            ctx, self.checkpoint_dir, self.checkpoint_every_steps,
+            self.checkpoint_keep,
+        )
         if manager is not None:
             manager.attach(scheduler)
-        self._maybe_resume(ctx, scheduler, manager)
+        found = _resume_source(ctx, manager, self.resume_from)
+        if found is not None:
+            from repro.resilience import SnapshotCodec
+
+            source, snapshot = found
+            codec = manager.codec if manager is not None else SnapshotCodec()
+            codec.restore(scheduler, snapshot)
+            if manager is not None:
+                manager.note_restore(scheduler)
+            _announce_resume(ctx, source, snapshot)
         pace_anchor[0] = time.monotonic()
         pace_anchor[1] = model.time.raw
         if self.fault_injector is not None:
@@ -553,48 +621,6 @@ class SingleRunJob(JobSpec):
         )
 
     # -- resilience plumbing -------------------------------------------
-    def _checkpoint_manager(self, ctx: JobContext):
-        if self.checkpoint_dir is None:
-            return None
-        from repro.resilience import CheckpointManager
-
-        return CheckpointManager(
-            self.checkpoint_dir,
-            every_steps=self.checkpoint_every_steps,
-            keep=self.checkpoint_keep,
-            metrics=getattr(ctx.service, "metrics", None),
-        )
-
-    def _maybe_resume(self, ctx: JobContext, scheduler, manager) -> None:
-        from repro.resilience import SnapshotCodec, decode_snapshot
-
-        source: Optional[Path] = None
-        snapshot = None
-        if manager is not None and ctx.handle.attempts > 1:
-            latest = manager.load_latest()
-            if latest is not None:
-                source, snapshot = latest
-        if snapshot is None and self.resume_from is not None \
-                and ctx.handle.attempts <= 1:
-            source = Path(self.resume_from)
-            snapshot = decode_snapshot(source.read_bytes())
-        if snapshot is None:
-            return
-        codec = manager.codec if manager is not None else SnapshotCodec()
-        codec.restore(scheduler, snapshot)
-        if manager is not None:
-            manager.note_restore(scheduler)
-        ctx.emit(
-            RESUMED, t=snapshot.t,
-            step=snapshot.step,
-            attempt=ctx.handle.attempts,
-            path=str(source),
-        )
-        metrics = getattr(ctx.service, "metrics", None)
-        if metrics is not None:
-            metrics.counter("jobs.resumed").inc()
-            metrics.histogram("jobs.recovered_sim_time").observe(snapshot.t)
-
     def _reclassify(self, exc: BaseException) -> Optional[Exception]:
         """An injected-divergence fault surfaces as a genuine
         :class:`~repro.solvers.base.SolverError`; reclassify it as the
@@ -784,10 +810,20 @@ class BatchJob(JobSpec):
         chunk_steps = self.chunk_steps
         if chunk_steps is None:
             chunk_steps = max(1, total_steps // 8)
-        manager = self._checkpoint_manager(ctx)
-        chunks, resume_point = self._maybe_resume(
-            ctx, manager, key, chunk_steps,
+        # writes happen explicitly at chunk boundaries; the manager
+        # provides the atomic spool and retention
+        manager = _checkpoint_manager(
+            ctx, self.checkpoint_dir, 1, self.checkpoint_keep,
         )
+        chunks: List[BatchChunk] = []
+        resume_point = None
+        found = _resume_source(ctx, manager, self.resume_from)
+        if found is not None:
+            source, snapshot = found
+            chunks, resume_point = self._unpack_snapshot(
+                snapshot, key, chunk_steps,
+            )
+            _announce_resume(ctx, source, snapshot, chunks=len(chunks))
         for chunk in sim.run_chunked(
             self.t_end, record_every=self.record_every,
             chunk_steps=chunk_steps, resume=resume_point,
@@ -810,18 +846,6 @@ class BatchJob(JobSpec):
         return merge_chunks(chunks, sim.n)
 
     # -- resilience plumbing -------------------------------------------
-    def _checkpoint_manager(self, ctx: JobContext):
-        if self.checkpoint_dir is None:
-            return None
-        from repro.resilience import CheckpointManager
-
-        # interval is "every chunk": writes happen explicitly at chunk
-        # boundaries, the manager provides the atomic spool + retention
-        return CheckpointManager(
-            self.checkpoint_dir, every_steps=1, keep=self.checkpoint_keep,
-            metrics=getattr(ctx.service, "metrics", None),
-        )
-
     def _pack_snapshot(self, key, chunks, chunk, chunk_steps):
         from repro.resilience import SNAPSHOT_VERSION, Snapshot
 
@@ -849,37 +873,6 @@ class BatchJob(JobSpec):
                 "resume": dict(chunk.resume),
             },
         )
-
-    def _maybe_resume(self, ctx: JobContext, manager, key, chunk_steps):
-        from repro.resilience import decode_snapshot
-
-        source = None
-        snapshot = None
-        if manager is not None and ctx.handle.attempts > 1:
-            latest = manager.load_latest()
-            if latest is not None:
-                source, snapshot = latest
-        if snapshot is None and self.resume_from is not None \
-                and ctx.handle.attempts <= 1:
-            source = Path(self.resume_from)
-            snapshot = decode_snapshot(source.read_bytes())
-        if snapshot is None:
-            return [], None
-        chunks, resume_point = self._unpack_snapshot(
-            snapshot, key, chunk_steps,
-        )
-        ctx.emit(
-            RESUMED, t=snapshot.t,
-            step=snapshot.step,
-            attempt=ctx.handle.attempts,
-            chunks=len(chunks),
-            path=str(source),
-        )
-        metrics = getattr(ctx.service, "metrics", None)
-        if metrics is not None:
-            metrics.counter("jobs.resumed").inc()
-            metrics.histogram("jobs.recovered_sim_time").observe(snapshot.t)
-        return chunks, resume_point
 
     def _unpack_snapshot(self, snapshot, key, chunk_steps):
         from repro.resilience import FingerprintMismatchError, SnapshotError

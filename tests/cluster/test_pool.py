@@ -206,6 +206,31 @@ class TestExecution:
         with pytest.raises(JobCancelledError):
             handle.result(timeout=60)
 
+    def test_handle_cancel_reaches_the_running_worker(self, pool2):
+        handle = pool2.submit(slow_request())
+        deadline = time.monotonic() + 30
+        while handle.state is not JobState.RUNNING:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with pool2._lock:
+            epoch = pool2._envelopes[handle.id].epoch
+            cell = pool2._slots[handle.worker].cancel_cell
+        assert handle.cancel()
+        # the running job's worker reads its epoch from the cancel cell
+        assert cell.value == epoch
+        assert handle.wait(timeout=60)
+        assert handle.state is JobState.CANCELLED
+        assert handle.attempts == 1
+        assert not handle.cancel()
+
+    def test_wait_returns_after_the_terminal_event(self, pool2):
+        handle = pool2.submit(lag_request())
+        assert handle.wait(timeout=60)
+        assert handle.channel.closed
+        last = handle.channel.peek_latest()
+        assert last.kind == telemetry.STATE
+        assert last.payload == {"state": "done", "error": None}
+
     def test_deadline_timeout(self, pool2):
         handle = pool2.submit(ClusterJobRequest(
             kind="single_run", model="cruise",

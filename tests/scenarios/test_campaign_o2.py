@@ -15,7 +15,7 @@ import pytest
 from repro.scenarios.campaign import (
     CampaignConfig,
     _diff_series,
-    _diff_series_tol,
+    _diff_series as _diff_series_tol,
     _plan_reassociates,
     execute_scenario,
     replay,

@@ -24,7 +24,7 @@ from repro.service.admission import (
 )
 from repro.service.engine import JobEngine
 from repro.service.jobs import (
-    DeadlineInfeasible, JobContext, JobSpec, JobState,
+    DeadlineInfeasible, JobContext, JobSpec, JobState, SingleRunJob,
 )
 from repro.service.telemetry import ADMISSION
 
@@ -238,9 +238,9 @@ class TestEngineAdmission:
             assert service.admission is not None
             service.admission.cost_model.seed("single_run", 10.0)
             with pytest.raises(DeadlineInfeasible):
-                service.submit_single_run(
-                    lambda: None, t_end=1.0, deadline=0.01,
-                )
+                service.submit(SingleRunJob(
+                    model_factory=lambda: None, t_end=1.0, deadline=0.01,
+                ))
 
 
 class TestEDFDispatch:

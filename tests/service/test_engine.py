@@ -27,7 +27,7 @@ from repro.service.jobs import (
     ServiceOverloaded,
     TransientJobError,
 )
-from repro.service.telemetry import STATE
+from repro.service.telemetry import STATE, MetricsRegistry
 
 
 @dataclass
@@ -128,6 +128,25 @@ class TestLifecycle:
                 if event.kind == STATE
             ]
             assert states == ["running", "done"]
+
+    def test_wait_returns_after_the_terminal_event(self):
+        class StallingMetrics(MetricsRegistry):
+            """Stalls the worker as it counts the job done: a waiter
+            woken before the terminal event would find the stream
+            still open."""
+
+            def counter(self, name):
+                if name == "jobs.done":
+                    time.sleep(0.2)
+                return super().counter(name)
+
+        with JobEngine(workers=1, metrics=StallingMetrics()) as engine:
+            handle = engine.submit(SpinJob(duration=0.02))
+            assert handle.wait(timeout=10.0)
+            assert handle.channel.closed
+            last = handle.channel.peek_latest()
+            assert last.kind == STATE
+            assert last.payload == {"state": "done", "error": None}
 
     @pytest.mark.parametrize("dispatch", ["fifo", "edf"])
     def test_idle_worker_keeps_no_finished_job_alive(self, dispatch):

@@ -147,10 +147,12 @@ print(json.dumps(list(sys.modules)))
 
 #: the three fan-outs on plain threads: a 2-shard native-batch sweep
 #: (with a compiler), a two-thread ``real_threads=True`` hybrid run and
-#: a one-worker campaign on a ``dag`` seed; counts the threads the
-#: campaign starts, prints the outcomes and the loaded modules
+#: one-worker campaigns on a ``dag`` seed and on a ``fault`` seed
+#: (master seed 6: scenario 6012363, a crash at step 32); counts the
+#: threads the campaigns start, prints the outcomes and the loaded
+#: modules
 FAN_OUTS = """
-import json, sys, threading
+import json, sys, tempfile, threading
 starts = []
 _start = threading.Thread.start
 
@@ -202,7 +204,14 @@ while True:
     master += 1
 del starts[:]
 report = runner.run()
-print(json.dumps([shards, report.ok, report.families, starts]))
+with tempfile.TemporaryDirectory() as spool:
+    fault = CampaignRunner(CampaignConfig(
+        count=1, seed=6, workers=1, steer=False, round_size=1,
+        work_dir=spool,
+    )).run()
+print(json.dumps([
+    shards, report.ok, report.families, fault.ok, fault.families, starts,
+]))
 print(json.dumps(list(sys.modules)))
 """
 
@@ -342,11 +351,12 @@ class TestThreadModel:
         outcome, loaded = map(
             json.loads, fresh_python(FAN_OUTS).splitlines(),
         )
-        shards, ok, families, started = outcome
+        shards, ok, families, fault_ok, fault_families, started = outcome
         assert shards == (
             ["native-batch", 2] if has_c_compiler() else None
         )
         assert ok and families == {"dag": 1}
+        assert fault_ok and fault_families == {"fault": 1}
         assert started == []
         assert set(loaded).isdisjoint(FAN_OUT_NEVER_IMPORTS), sorted(
             set(loaded).intersection(FAN_OUT_NEVER_IMPORTS)
