@@ -20,9 +20,9 @@ H = 1.0 / 512.0
 T_CUT = 0.375   # 192 exact steps
 T_END = 0.75    # 384 exact steps
 
-BACKENDS = ["interpreter", "compiled-python"]
+BACKENDS = ["interpreter", "compiled-python", "batch"]
 if has_c_compiler():
-    BACKENDS.append("native-c")
+    BACKENDS += ["native-c", "native-batch"]
 
 
 def make_program(backend, cache_dir=None):
