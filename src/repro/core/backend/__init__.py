@@ -33,8 +33,7 @@ from repro.core.backend.native import (
 )
 from repro.core.backend.batchentry import BatchBackend, BatchProgramAdapter
 from repro.core.backend.nativebatch import (
-    NativeBatchAdapter, NativeBatchBackend, NativeBatchKernel,
-    default_shards, shard_bounds,
+    NativeBatchBackend, NativeBatchKernel, default_shards, shard_bounds,
 )
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "KERNEL_SOLVERS",
     "KERNEL_VERSION",
     "NativeBackend",
-    "NativeBatchAdapter",
     "NativeBatchBackend",
     "NativeBatchKernel",
     "NativeProgram",

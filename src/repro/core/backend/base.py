@@ -57,6 +57,7 @@ from typing import (
 
 import numpy as np
 
+from repro.codegen.common import KERNEL_VERSION, kernel_tables
 from repro.core import loop
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -158,11 +159,14 @@ class BackendProgram:
     :meth:`restore_state` give the resilience layer a backend-agnostic
     checkpoint payload (plain data only).
 
-    The scalar programs keep that cursor in ``_t``, ``_x``, ``_step``
-    and ``_cold``, their solver's name in ``_solver_name``, and define
-    the loop bodies ``_sync(t, x)``, ``_advance(t, x, h)`` and
-    ``_outvals(t, x)``; :meth:`step` and :meth:`_run_loop` run those
-    through :mod:`repro.core.loop`.
+    This class is that cursor, written once: ``_t``, ``_x``, ``_step``,
+    ``_cold``, ``h``, the solver's name, the plan and the record labels.
+    A backend adds its loop bodies (``_sync(t, x)``, ``_advance(t, x,
+    h)`` and ``_outvals(t, x)``, which :meth:`step` and :meth:`_run_loop`
+    run through :mod:`repro.core.loop`), :meth:`run`, :meth:`rhs` and
+    four hooks: :meth:`_rewind` to the cold state, :meth:`_install` a
+    restored state, its :meth:`_registers` as plain data (snapshotted
+    under :attr:`registers_key`) and its :meth:`_fingerprint_extras`.
     """
 
     #: registry name of the producing backend
@@ -170,14 +174,42 @@ class BackendProgram:
     #: the effective backend when the ladder demoted the request (equal
     #: to :attr:`backend` when no fallback happened)
     requested: str = "abstract"
+    #: the snapshot key of :meth:`_registers`
+    registers_key: str = "held"
+
+    def __init__(
+        self, plan: "ExecutionPlan", solver_name: str, h: float,
+        labels: List[str],
+    ) -> None:
+        self._plan = plan
+        self._solver_name = solver_name
+        self.h = float(h)
+        self._labels = labels
+        self._t = 0.0
+        self._step = 0
+        self._cold = True
 
     @property
     def plan(self) -> "ExecutionPlan":
-        raise NotImplementedError
+        return self._plan
+
+    @property
+    def t(self) -> float:
+        return self._t
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.asarray(self._x, dtype=float)
+
+    def record_labels(self) -> List[str]:
+        return list(self._labels)
 
     def reset(self) -> None:
         """Return to the cold initial state (t=0, initial x, held)."""
-        raise NotImplementedError
+        self._t = 0.0
+        self._step = 0
+        self._cold = True
+        self._rewind()
 
     def step(self, h: Optional[float] = None) -> float:
         """One minor step + sync; returns the new time."""
@@ -213,7 +245,7 @@ class BackendProgram:
         self._t, self._x, self._step, self._cold = t, x, step, False
         return np.asarray(times, dtype=float), {
             label: np.asarray([row[i] for row in rows], dtype=float)
-            for i, label in enumerate(self.record_labels())
+            for i, label in enumerate(self._labels)
         }
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -222,14 +254,108 @@ class BackendProgram:
 
     def snapshot_state(self) -> Dict[str, Any]:
         """The cursor as plain data (codec-safe)."""
-        raise NotImplementedError
+        return {
+            "t": self._t,
+            "step": self._step,
+            "cold": self._cold,
+            "x": self.x.tolist(),
+            self.registers_key: self._registers(),
+        }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
-        raise NotImplementedError
+        self._t = float(state["t"])
+        self._step = int(state["step"])
+        self._cold = bool(state.get("cold", False))
+        self._install(
+            np.asarray(state["x"], dtype=float),
+            state.get(self.registers_key),
+        )
 
     def fingerprint(self) -> str:
-        """Content identity of the compiled artifact."""
+        """Content identity: the plan's fingerprint (parameter values
+        included) plus backend, solver, records and the backend's
+        :meth:`_fingerprint_extras`."""
+        return self._plan.fingerprint(extra={
+            "backend": self.backend,
+            "solver": self._solver_name,
+            "records": tuple(self._labels),
+            **self._fingerprint_extras(),
+        })
+
+    # -- the backend's hooks -------------------------------------------
+    def _rewind(self) -> None:
+        """Put the initial state and registers back (``reset``)."""
         raise NotImplementedError
+
+    def _install(self, x: np.ndarray, registers: Any) -> None:
+        """Install a snapshot's state ``x`` and its registers (None when
+        the snapshot has none)."""
+        raise NotImplementedError
+
+    def _registers(self) -> Any:
+        """The registers as plain data (codec-safe)."""
+        raise NotImplementedError
+
+    def _fingerprint_extras(self) -> Dict[str, Any]:
+        return {}
+
+
+class KernelProgram(BackendProgram):
+    """A program over a lowered kernel: compiled-python and native-c.
+
+    Owns the kernel's held-register table (:func:`~repro.codegen.common.
+    kernel_tables`): the register names and their initial values, the
+    ``held`` snapshot and the hybrid scheduler's bridge from the live
+    blocks.  A subclass keeps how it runs and how it binds a state and
+    a held row (:meth:`_install`) into its kernel; ``_held`` is the
+    bound row, indexable by register slot.
+    """
+
+    def __init__(self, model, solver_name: str, h: float) -> None:
+        super().__init__(
+            model.plan, solver_name, h,
+            [label for label, __ in model.records],
+        )
+        tables = kernel_tables(model)
+        self._held_names: List[str] = [n for n, __ in tables["held"]]
+        self._held0: List[float] = [v for __, v in tables["held"]]
+        index_of = {name: i for i, name in enumerate(self._held_names)}
+        #: ``(held slot, live leaf, attribute)`` rows for the hybrid
+        #: scheduler's rhs bridge
+        self._held_bindings = [
+            (index_of[name], leaf, attr)
+            for name, leaf, attr in tables["held_attrs"]
+        ]
+        self._x0: List[float] = [float(v) for v in model.initial_state]
+
+    def refresh_held_from_blocks(self) -> None:
+        """Copy the live blocks' sample-and-hold registers into the
+        kernel, so a derivative evaluated between syncs sees exactly what
+        the interpreter would see."""
+        held = self._held
+        for slot, leaf, attr in self._held_bindings:
+            held[slot] = float(getattr(leaf, attr))
+
+    def _held_row(self, held: Optional[Mapping[str, Any]]) -> List[float]:
+        """The held row of a snapshot's ``held`` dict (a missing
+        register keeps its initial value)."""
+        held = held or {}
+        return [
+            float(held.get(name, value))
+            for name, value in zip(self._held_names, self._held0)
+        ]
+
+    def _rewind(self) -> None:
+        self._install(np.asarray(self._x0, dtype=float), None)
+
+    def _registers(self) -> Dict[str, float]:
+        return {
+            name: float(self._held[i])
+            for i, name in enumerate(self._held_names)
+        }
+
+    def _fingerprint_extras(self) -> Dict[str, Any]:
+        return {"kernel": KERNEL_VERSION}
 
 
 class ExecutionBackend:

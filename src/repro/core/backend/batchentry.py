@@ -7,15 +7,18 @@ surface.  The cursor semantics reuse the simulator's own
 :meth:`run` calls continue bitwise exactly as one long chunked run —
 the contract the resilience layer already tests.  A run's series are
 views of the simulator's one record buffer for that run, not copies.
-``rhs`` is the NumPy program's on both batch adapters; a native-batch
-simulator builds that program on the first call.  Each instance's
-records equal the interpreter's bitwise, sampled blocks included.
+The ``native-batch`` entry (:mod:`repro.core.backend.nativebatch`)
+compiles through the same body into the same adapter, with a
+native-backed simulator.  ``rhs`` is the NumPy program's on both; a
+native-batch simulator builds that program on the first call.  Each
+instance's records equal the interpreter's bitwise, sampled blocks
+included.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -28,52 +31,51 @@ from repro.core.batch import BatchError, BatchSimulator, merge_chunks
 
 
 class BatchProgramAdapter(BackendProgram):
-    backend = "batch"
+    """The uniform surface over a :class:`BatchSimulator`; its
+    ``backend`` is the simulator's (``batch`` or ``native-batch``)."""
 
     def __init__(self, simulator: BatchSimulator) -> None:
+        super().__init__(
+            simulator.plan, simulator.binding.strategy_name, simulator.h,
+            [label for label, __ in simulator.model.records],
+        )
         self._sim = simulator
-        self.h = simulator.h
         self._held0 = copy.deepcopy(simulator.held_state())
-        self._t = 0.0
         self._x = simulator.x0.copy()
-        self._step = 0
-        self._cold = True
 
-    # ------------------------------------------------------------------
     @property
-    def plan(self):
-        return self._sim.plan
+    def backend(self) -> str:
+        return self._sim.backend_name
 
     @property
     def simulator(self) -> BatchSimulator:
         return self._sim
 
-    @property
-    def t(self) -> float:
-        return self._t
-
-    @property
-    def x(self) -> np.ndarray:
-        return self._x
-
-    def record_labels(self):
-        return [label for label, __ in self._sim.model.records]
-
-    def fingerprint(self) -> str:
-        return self._sim.program.fingerprint(extra={
-            "backend": self.backend,
-            "n": self._sim.n,
-            "solver": self._sim.binding.strategy_name,
-            "kernel": KERNEL_VERSION,
-        })
-
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._t = 0.0
+    def _rewind(self) -> None:
         self._x = self._sim.x0.copy()
-        self._step = 0
-        self._cold = True
         self._sim.restore_held_state(copy.deepcopy(self._held0))
+
+    def _install(self, x: np.ndarray, held: Any) -> None:
+        self._x = x
+        if held:
+            self._sim.restore_held_state({
+                name: np.asarray(values, dtype=float)
+                for name, values in held.items()
+            })
+
+    def _registers(self) -> Dict[str, Any]:
+        return {
+            name: np.asarray(values, dtype=float).tolist()
+            for name, values in self._sim.held_state().items()
+        }
+
+    def _fingerprint_extras(self) -> Dict[str, Any]:
+        return {
+            "n": self._sim.n,
+            "sweeps": tuple(self._sim.sweep_paths),
+            "kernel": KERNEL_VERSION,
+        }
 
     def _resume_arg(self) -> Optional[Dict[str, Any]]:
         if self._cold:
@@ -127,41 +129,19 @@ class BatchProgramAdapter(BackendProgram):
             dtype=float,
         )
 
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "t": self._t,
-            "step": self._step,
-            "cold": self._cold,
-            "x": self._x.tolist(),
-            "held": {
-                name: np.asarray(values, dtype=float).tolist()
-                for name, values in self._sim.held_state().items()
-            },
-        }
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        self._t = float(state["t"])
-        self._step = int(state["step"])
-        self._cold = bool(state.get("cold", False))
-        self._x = np.asarray(state["x"], dtype=float)
-        held = state.get("held")
-        if held:
-            self._sim.restore_held_state({
-                name: np.asarray(values, dtype=float)
-                for name, values in held.items()
-            })
-
 
 class BatchBackend(ExecutionBackend):
+    """The ``batch`` entry; ``native-batch`` shares its compile body."""
+
     name = "batch"
 
     def compile(self, request: CompileRequest) -> BatchProgramAdapter:
         if request.diagram is None:
             raise BackendError(
-                "the batch backend compiles from a diagram (sweep paths "
-                "and record labels resolve against it)"
+                f"the {self.name} backend compiles from a diagram (sweep "
+                "paths and record labels resolve against it)"
             )
+        self._check(request)
         try:
             simulator = BatchSimulator(
                 diagram=request.diagram,
@@ -173,10 +153,19 @@ class BatchBackend(ExecutionBackend):
                 x0=request.x0,
                 opt_level=request.opt_level,
                 opt_config=request.opt_config,
+                backend=self.name,
+                shards=request.shards,
+                native_cache_dir=request.cache_dir,
             )
         except BatchError as exc:
             raise BackendUnavailable(str(exc)) from exc
+        if simulator.backend_name != self.name:
+            raise BackendUnavailable(simulator.backend_fallback_reason)
         return BatchProgramAdapter(simulator)
+
+    def _check(self, request: CompileRequest) -> None:
+        """Raise :class:`BackendUnavailable` before any lowering when
+        this entry cannot serve ``request`` (nothing here)."""
 
 
 register_backend(BatchBackend())

@@ -10,7 +10,7 @@ it executes the same rewritten node table the kernels were emitted from.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ def resolve_record_ports(plan, records, port_at) -> List[Tuple[str, Any]]:
 
 class InterpreterProgram(BackendProgram):
     backend = "interpreter"
+    registers_key = "extras"
 
     def __init__(
         self,
@@ -55,60 +56,47 @@ class InterpreterProgram(BackendProgram):
         solver: Any,
         h: float,
     ) -> None:
-        self._plan = plan
-        self._initial = np.asarray(initial_state, dtype=float).copy()
-        self._records = records
         self._binding = SolverBinding(solver)
-        self._solver_name = self._binding.strategy_name
-        self.h = float(h)
+        super().__init__(
+            plan, self._binding.strategy_name, h,
+            [label for label, __ in records],
+        )
+        self._initial = np.asarray(initial_state, dtype=float).copy()
+        self._ports = [port for __, port in records]
         # blocks are live objects shared with the diagram; capture their
         # pristine discrete state now so reset() can truly rewind (the
         # restore hook mutates — pops — the dict it is given, and e.g.
         # UnitDelay's restore default is 0.0, not its y0)
-        self._initial_extra = {
-            node.leaf.path(): copy.deepcopy(node.leaf.extra_state())
-            for node in plan.nodes
-        }
-        self._t = 0.0
+        self._initial_extra = self._registers()
         self._x = self._initial.copy()
-        self._step = 0
-        self._cold = True
 
     # ------------------------------------------------------------------
-    @property
-    def plan(self):
-        return self._plan
-
-    @property
-    def t(self) -> float:
-        return self._t
-
-    @property
-    def x(self) -> np.ndarray:
-        return self._x
-
-    def record_labels(self) -> List[str]:
-        return [label for label, __ in self._records]
-
-    def fingerprint(self) -> str:
-        return self._plan.fingerprint(extra={
-            "backend": self.backend,
-            "solver": self._binding.strategy_name,
-            "records": tuple(self.record_labels()),
-        })
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._t = 0.0
+    def _rewind(self) -> None:
         self._x = self._initial.copy()
-        self._step = 0
-        self._cold = True
         for node in self._plan.nodes:
             node.leaf.restore_extra_state(
                 copy.deepcopy(self._initial_extra[node.leaf.path()])
             )
         self._binding.reset()
         self._rewind_observers(None)
+
+    def _install(self, x: np.ndarray, extras: Any) -> None:
+        # the binding's trajectory history is monotone-checked; a restore
+        # may rewind time, so the history must restart at the cursor
+        self._binding.reset()
+        self._x = x
+        extras = extras or {}
+        for node in self._plan.nodes:
+            extra = extras.get(node.leaf.path())
+            if extra is not None:
+                node.leaf.restore_extra_state(copy.deepcopy(extra))
+        self._rewind_observers(self._t)
+
+    def _registers(self) -> Dict[str, Any]:
+        return {
+            node.leaf.path(): copy.deepcopy(node.leaf.extra_state())
+            for node in self._plan.nodes
+        }
 
     def _rewind_observers(self, t_cursor: Optional[float]) -> None:
         """Truncate live Scope-style trajectories to the cursor.
@@ -148,7 +136,7 @@ class InterpreterProgram(BackendProgram):
 
     def _outvals(self, t: float, x: np.ndarray) -> Tuple[float, ...]:
         self._plan.evaluate(t, x)
-        return tuple(port.read_scalar() for __, port in self._records)
+        return tuple(port.read_scalar() for port in self._ports)
 
     def run(
         self,
@@ -170,34 +158,6 @@ class InterpreterProgram(BackendProgram):
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         return self._plan.rhs(t, np.asarray(x, dtype=float))
-
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "t": self._t,
-            "step": self._step,
-            "cold": self._cold,
-            "x": [float(v) for v in self._x],
-            "extras": {
-                node.leaf.path(): copy.deepcopy(node.leaf.extra_state())
-                for node in self._plan.nodes
-            },
-        }
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        # the binding's trajectory history is monotone-checked; a restore
-        # may rewind time, so the history must restart at the cursor
-        self._binding.reset()
-        self._t = float(state["t"])
-        self._step = int(state["step"])
-        self._cold = bool(state.get("cold", False))
-        self._x = np.asarray(state["x"], dtype=float)
-        extras = state.get("extras", {})
-        for node in self._plan.nodes:
-            extra = extras.get(node.leaf.path())
-            if extra is not None:
-                node.leaf.restore_extra_state(copy.deepcopy(extra))
-        self._rewind_observers(self._t)
 
 
 class InterpreterBackend(ExecutionBackend):

@@ -59,7 +59,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,12 +67,12 @@ from repro._digest import sha256
 from repro._lockfile import ElectionTimeout, elect, release
 from repro.codegen.cgen import kernel_functions
 from repro.codegen.common import (
-    C_LIBM_DECLARATIONS, KERNEL_VERSION, CLang, CParamLang, kernel_tables,
+    C_LIBM_DECLARATIONS, CLang, CParamLang, kernel_tables,
 )
 from repro.core import loop
 from repro.core.backend.base import (
-    BackendError, BackendProgram, BackendUnavailable, CompileRequest,
-    ExecutionBackend, ProgramResult, kernel_solver_name, lower_request,
+    BackendError, BackendUnavailable, CompileRequest, ExecutionBackend,
+    KernelProgram, ProgramResult, kernel_solver_name, lower_request,
     register_backend,
 )
 
@@ -558,7 +558,7 @@ def _ptr(array: np.ndarray):
     return ctypes.byref(ctypes.c_double.from_buffer(array))
 
 
-class NativeProgram(BackendProgram):
+class NativeProgram(KernelProgram):
     backend = "native-c"
 
     def __init__(
@@ -572,10 +572,7 @@ class NativeProgram(BackendProgram):
         source: str,
         params: List[float],
     ) -> None:
-        self._model = model
-        self._plan = model.plan
-        self._solver_name = solver_name
-        self.h = float(h)
+        super().__init__(model, solver_name, h)
         self.so_path = so_path
         self.cache_hit = cache_hit
         self.source = source
@@ -584,69 +581,28 @@ class NativeProgram(BackendProgram):
         #: read by every call, never written
         self._params = np.asarray(params or [0.0], dtype=float)
         self._p_ptr = _ptr(self._params)
+        self._n_states = len(self._x0)
+        self._n_rec = len(self._labels)
+        self._rewind()
 
-        tables = kernel_tables(model)
-        self._held_names: List[str] = [n for n, __ in tables["held"]]
-        self._held0 = np.asarray(
-            [v for __, v in tables["held"]] or [0.0], dtype=float
-        )
-        index_of = {name: i for i, name in enumerate(self._held_names)}
-        self._held_bindings = [
-            (index_of[name], leaf, attr)
-            for name, leaf, attr in tables["held_attrs"]
-        ]
-        self._n_states = tables["n_states"]
-        self._n_rec = len(tables["record_exprs"])
-        self._x0 = np.asarray(
-            list(model.initial_state) or [0.0], dtype=float
-        )
-        self._t = 0.0
-        self._step = 0
-        self._cold = True
-        self._bind_cursor(self._x0.copy(), self._held0.copy())
+    def _install(self, x: np.ndarray, held: Any) -> None:
+        """Install fresh state and held buffers and their pointers (the
+        kernel takes at least one slot of each)."""
+        buf = np.zeros(max(1, self._n_states), dtype=float)
+        buf[: self._n_states] = x
+        self._x = buf[: self._n_states]
+        self._held = np.asarray(self._held_row(held) or [0.0], dtype=float)
+        self._x_ptr = _ptr(buf)
+        self._held_ptr = _ptr(self._held)
 
-    def _bind_cursor(self, x: np.ndarray, held: np.ndarray) -> None:
-        """Install fresh state and held buffers and their pointers."""
-        self._x = x
-        self._held = held
-        self._x_ptr = _ptr(x)
-        self._held_ptr = _ptr(held)
-
-    # ------------------------------------------------------------------
-    @property
-    def plan(self):
-        return self._plan
-
-    @property
-    def t(self) -> float:
-        return self._t
-
-    @property
-    def x(self) -> np.ndarray:
-        return self._x[: self._n_states]
-
-    def record_labels(self) -> List[str]:
-        return [label for label, __ in self._model.records]
-
-    def fingerprint(self) -> str:
-        """The snapshot identity: the opt-aware plan fingerprint, which
-        covers the parameter values, plus solver, records and initial
-        state.  Programs that share one artifact but not their values
-        therefore refuse each other's snapshots."""
-        return self._plan.fingerprint(extra={
-            "backend": "native-c",
-            "solver": self._solver_name,
-            "records": tuple(label for label, __ in self._model.records),
-            "x0": tuple(repr(float(v)) for v in self._model.initial_state),
-            "kernel": KERNEL_VERSION,
-        })
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._t = 0.0
-        self._step = 0
-        self._cold = True
-        self._bind_cursor(self._x0.copy(), self._held0.copy())
+    def _fingerprint_extras(self) -> Dict[str, Any]:
+        """Beyond the plan fingerprint, which covers the parameter
+        values, the initial state: programs that share one artifact but
+        not their values refuse each other's snapshots."""
+        return {
+            **super()._fingerprint_extras(),
+            "x0": tuple(repr(v) for v in self._x0),
+        }
 
     # the state lives in the kernel's buffers: the loop's x is unused
     def _sync(self, t: float, x: Any) -> None:
@@ -684,12 +640,11 @@ class NativeProgram(BackendProgram):
         self._step = step_out.value
         self._cold = False
         loop.check_finite(self._solver_name, self._t, self.x)
-        labels = self.record_labels()
         return ProgramResult(
             t=rec_t[:nrec].copy(),
             series={
                 label: rec_vals[:nrec, i].copy()
-                for i, label in enumerate(labels)
+                for i, label in enumerate(self._labels)
             },
             final_state=self.x.copy(),
             stats={
@@ -712,46 +667,6 @@ class NativeProgram(BackendProgram):
             float(t), _ptr(buf), self._p_ptr, self._held_ptr, _ptr(dx)
         )
         return dx[: self._n_states]
-
-    def sync_now(self, t: float) -> None:
-        self._lib.kernel_sync(
-            float(t), self._x_ptr, self._p_ptr, self._held_ptr
-        )
-
-    def refresh_held_from_blocks(self) -> None:
-        held = self._held
-        for slot, leaf, attr in self._held_bindings:
-            held[slot] = float(getattr(leaf, attr))
-
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "t": self._t,
-            "step": self._step,
-            "cold": self._cold,
-            "x": [float(v) for v in self._x[: self._n_states]],
-            "held": {
-                name: float(self._held[i])
-                for i, name in enumerate(self._held_names)
-            },
-        }
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        self._t = float(state["t"])
-        self._step = int(state["step"])
-        self._cold = bool(state.get("cold", False))
-        x = np.asarray(state["x"], dtype=float)
-        held = state.get("held", {})
-        self._bind_cursor(
-            x.copy() if x.size else np.zeros(1),
-            np.asarray(
-                [
-                    float(held.get(name, self._held0[i]))
-                    for i, name in enumerate(self._held_names)
-                ] or [0.0],
-                dtype=float,
-            ),
-        )
 
 
 class NativeBackend(ExecutionBackend):

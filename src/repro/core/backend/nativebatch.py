@@ -54,10 +54,10 @@ import numpy as np
 
 from repro._fanout import fan_out
 from repro.core.backend.base import (
-    BackendError, BackendUnavailable, CompileRequest, ExecutionBackend,
-    kernel_solver_name, register_backend,
+    BackendError, BackendUnavailable, CompileRequest, kernel_solver_name,
+    register_backend,
 )
-from repro.core.backend.batchentry import BatchProgramAdapter
+from repro.core.backend.batchentry import BatchBackend
 from repro.core.backend.native import (
     NO_COMPILER, default_cache_dir, has_c_compiler, load_artifact,
     request_cache_dir, start_build,
@@ -316,51 +316,13 @@ class NativeBatchKernel:
         return t_new, x, step_new, bool(done), nrec
 
 
-class NativeBatchAdapter(BatchProgramAdapter):
-    """The uniform program surface over a native-backed simulator —
-    cursor/snapshot semantics are inherited verbatim, only the registry
-    name differs (the simulator routes execution to the kernel)."""
-
-    backend = "native-batch"
-
-
-class NativeBatchBackend(ExecutionBackend):
+class NativeBatchBackend(BatchBackend):
     name = "native-batch"
 
-    def compile(self, request: CompileRequest) -> NativeBatchAdapter:
-        from repro.core.batch import BatchError, BatchSimulator
-
-        if request.diagram is None:
-            raise BackendError(
-                "the native-batch backend compiles from a diagram (sweep "
-                "paths and record labels resolve against it)"
-            )
-        solver_name = kernel_solver_name(request)
+    def _check(self, request: CompileRequest) -> None:
+        kernel_solver_name(request)
         if not has_c_compiler():
             raise BackendUnavailable(NO_COMPILER)
-        try:
-            simulator = BatchSimulator(
-                diagram=request.diagram,
-                n=request.n,
-                solver=solver_name,
-                h=request.h,
-                records=request.records,
-                sweeps=request.sweeps,
-                x0=request.x0,
-                opt_level=request.opt_level,
-                opt_config=request.opt_config,
-                backend="native-batch",
-                shards=request.shards,
-                native_cache_dir=request.cache_dir,
-            )
-        except BatchError as exc:
-            raise BackendUnavailable(str(exc)) from exc
-        if simulator.backend_name != "native-batch":
-            raise BackendUnavailable(
-                simulator.backend_fallback_reason
-                or "native batch kernel unavailable"
-            )
-        return NativeBatchAdapter(simulator)
 
     def prefetch(self, request: CompileRequest) -> None:
         from repro.core.batch import batch_program

@@ -26,31 +26,25 @@ check_finite`), as the interpreter does.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.codegen.common import KERNEL_VERSION, PyLang, kernel_tables
+from repro.codegen.common import PyLang
 from repro.codegen.pygen import render_python_kernel
 from repro.core import loop
 from repro.core.backend.base import (
-    BackendProgram, CompileRequest, ExecutionBackend, ProgramResult,
+    CompileRequest, ExecutionBackend, KernelProgram, ProgramResult,
     kernel_solver_name, lower_request, register_backend,
 )
 
 
-class PyKernelProgram(BackendProgram):
+class PyKernelProgram(KernelProgram):
     backend = "compiled-python"
 
     def __init__(self, model, solver_name: str, h: float) -> None:
-        self._model = model
-        self._plan = model.plan
-        self._solver_name = solver_name
-        self.h = float(h)
+        super().__init__(model, solver_name, h)
         self.source = render_python_kernel(model, solver_name)
-        tables = kernel_tables(model)
-        self._held_names: List[str] = [n for n, __ in tables["held"]]
-        self._held0: List[float] = [v for __, v in tables["held"]]
         #: the kernel's held registers, bound into its closures, so
         #: every cursor change rewrites this one list in place
         self._held: List[float] = list(self._held0)
@@ -59,50 +53,11 @@ class PyKernelProgram(BackendProgram):
         (
             self._deriv, self._outvals, self._sync, self._advance,
         ) = namespace["_build"](self._held)
-        index_of = {name: i for i, name in enumerate(self._held_names)}
-        #: ``(held slot, live leaf, attribute)`` rows for the hybrid
-        #: scheduler's rhs bridge
-        self._held_bindings = [
-            (index_of[name], leaf, attr)
-            for name, leaf, attr in tables["held_attrs"]
-        ]
-        self._x0: List[float] = [float(v) for v in model.initial_state]
-        self._t = 0.0
         self._x: List[float] = list(self._x0)
-        self._step = 0
-        self._cold = True
 
-    # ------------------------------------------------------------------
-    @property
-    def plan(self):
-        return self._plan
-
-    @property
-    def t(self) -> float:
-        return self._t
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.asarray(self._x, dtype=float)
-
-    def record_labels(self) -> List[str]:
-        return [label for label, __ in self._model.records]
-
-    def fingerprint(self) -> str:
-        return self._plan.fingerprint(extra={
-            "backend": self.backend,
-            "solver": self._solver_name,
-            "records": tuple(self.record_labels()),
-            "kernel": KERNEL_VERSION,
-        })
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._t = 0.0
-        self._x = list(self._x0)
-        self._held[:] = self._held0
-        self._step = 0
-        self._cold = True
+    def _install(self, x: np.ndarray, held: Any) -> None:
+        self._x = [float(v) for v in x]
+        self._held[:] = self._held_row(held)
 
     def run(
         self,
@@ -115,7 +70,7 @@ class PyKernelProgram(BackendProgram):
         return ProgramResult(
             t=times,
             series=series,
-            final_state=np.asarray(self._x, dtype=float),
+            final_state=self.x,
             stats={
                 "backend": self.backend,
                 "steps": self._step,
@@ -127,45 +82,6 @@ class PyKernelProgram(BackendProgram):
         return np.asarray(
             self._deriv(float(t), x, self._held), dtype=float
         )
-
-    def sync_now(self, t: float) -> None:
-        """Run the sync replicas at ``t`` on the current held state."""
-        self._sync(float(t), self._x)
-
-    # ------------------------------------------------------------------
-    # held-register bridge (hybrid scheduler)
-    # ------------------------------------------------------------------
-    def refresh_held_from_blocks(self) -> None:
-        """Copy the live blocks' sample-and-hold registers into the
-        kernel, so a derivative evaluated between syncs sees exactly what
-        the interpreter would see."""
-        held = self._held
-        for slot, leaf, attr in self._held_bindings:
-            held[slot] = float(getattr(leaf, attr))
-
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "t": self._t,
-            "step": self._step,
-            "cold": self._cold,
-            "x": [float(v) for v in self._x],
-            "held": {
-                name: float(self._held[i])
-                for i, name in enumerate(self._held_names)
-            },
-        }
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        self._t = float(state["t"])
-        self._step = int(state["step"])
-        self._cold = bool(state.get("cold", False))
-        self._x = [float(v) for v in state["x"]]
-        held = state.get("held", {})
-        self._held[:] = [
-            float(held.get(name, self._held0[i]))
-            for i, name in enumerate(self._held_names)
-        ]
 
 
 class PyKernelBackend(ExecutionBackend):

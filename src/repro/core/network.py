@@ -27,8 +27,7 @@ which reproduces the paper's threads-plus-channels architecture for data.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Set,
-    Tuple,
+    TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -474,38 +473,6 @@ class FlatNetwork:
     def rhs_evaluations(self) -> int:
         """Network evaluations so far (aggregated across thread views)."""
         return self.plan().counters.evaluations
-
-    def program(
-        self,
-        backend: str = "interpreter",
-        solver: Any = "rk4",
-        h: float = 1e-3,
-        records: Optional[List[str]] = None,
-        opt_level: int = 0,
-        opt_config=None,
-        cache_dir=None,
-        metrics=None,
-        emit=None,
-    ):
-        """Compile this network into a runnable
-        :class:`~repro.core.backend.base.BackendProgram`.
-
-        Convenience front door to :func:`repro.core.backend.
-        compile_program`: walks the requested backend's fallback ladder
-        (reporting demotions through ``metrics``/``emit`` when given)
-        and returns a program with the uniform ``step``/``run``/
-        ``snapshot_state`` surface.
-        """
-        from repro.core.backend import CompileRequest, compile_program
-
-        request = CompileRequest(
-            network=self, solver=solver, h=h, records=records,
-            opt_level=opt_level, opt_config=opt_config,
-            cache_dir=cache_dir,
-        )
-        return compile_program(
-            request, backend, metrics=metrics, emit=emit,
-        )
 
     # ------------------------------------------------------------------
     # evaluation (thin wrappers over the plan)
