@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import loop
 from repro.core.network import FlatNetwork
-from repro.core.plan import ExecutionPlan
+from repro.core.plan import ExecutionPlan, default_records
 from repro.core.streamer import Streamer
 from repro.dataflow.diagram import Diagram
 
@@ -850,7 +850,8 @@ def lower(
     """Compile ``diagram`` to its ExecutionPlan and emit code for ``lang``.
 
     ``records`` is a list of ``"block.port"`` paths to record each step;
-    defaults to every Scope input and every dangling leaf OUT port.
+    defaults to every Scope input
+    (:func:`~repro.core.plan.default_records`).
 
     ``opt_level`` / ``opt_config`` run the :mod:`repro.core.opt` pass
     pipeline over the plan before emission; explicitly recorded ports are
@@ -935,26 +936,16 @@ def lower_plan(
         if port.is_out
     })
 
-    record_pairs: List[Tuple[str, str]] = []
-    if records:
-        if port_at is None:
-            raise CodegenError(
-                "explicit record paths need a port_at resolver"
-            )
-        for path in records:
-            port = port_at(path)
-            if port.is_out:
-                record_pairs.append((path, ctx.signal(port.owner, port.name)))
-            else:
-                record_pairs.append((path, ctx.input(port.owner, port.name)))
+    if not records:
+        ports = default_records(node.leaf for node in plan.nodes)
+    elif port_at is None:
+        raise CodegenError("explicit record paths need a port_at resolver")
     else:
-        for node in plan.nodes:
-            if type(node.leaf).__name__ == "Scope":
-                for port in node.leaf.dports.values():
-                    record_pairs.append((
-                        f"{node.leaf.name}.{port.name}",
-                        ctx.input(node.leaf, port.name),
-                    ))
+        ports = [(path, port_at(path)) for path in records]
+    record_pairs: List[Tuple[str, str]] = []
+    for label, port in ports:
+        symbol = ctx.signal if port.is_out else ctx.input
+        record_pairs.append((label, symbol(port.owner, port.name)))
 
     return LoweredModel(
         name=name,

@@ -18,30 +18,21 @@ from repro.core.backend.base import (
     BackendError, BackendProgram, CompileRequest, ExecutionBackend,
     ProgramResult, register_backend,
 )
+from repro.core.plan import default_records
 from repro.core.solverbinding import SolverBinding
 
 
 def resolve_record_ports(plan, records, port_at) -> List[Tuple[str, Any]]:
-    """``(label, DPort)`` pairs for a record request.
-
-    Explicit ``"block.port"`` paths resolve through ``port_at``; the
-    default mirrors the codegen layer — every Scope input, labelled
-    ``"<scope>.<port>"``.
-    """
-    pairs: List[Tuple[str, Any]] = []
-    if records:
-        if port_at is None:
-            raise BackendError(
-                "explicit record paths need a diagram (port_at resolver)"
-            )
-        for path in records:
-            pairs.append((path, port_at(path)))
-        return pairs
-    for node in plan.nodes:
-        if type(node.leaf).__name__ == "Scope":
-            for port in node.leaf.dports.values():
-                pairs.append((f"{node.leaf.name}.{port.name}", port))
-    return pairs
+    """``(label, DPort)`` pairs for a record request: explicit
+    ``"block.port"`` paths resolve through ``port_at``, the default is
+    :func:`~repro.core.plan.default_records` over the plan's leaves."""
+    if not records:
+        return default_records(node.leaf for node in plan.nodes)
+    if port_at is None:
+        raise BackendError(
+            "explicit record paths need a diagram (port_at resolver)"
+        )
+    return [(path, port_at(path)) for path in records]
 
 
 class InterpreterProgram(BackendProgram):

@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.core import loop
 from repro.core.network import FlatNetwork
+from repro.core.plan import default_records
 from repro.core.solverbinding import SolverBinding
 from repro.core.streamer import Streamer
 
@@ -965,17 +966,12 @@ def simulate_sequential(
             block.params[key] = float(values[i])
         diagram.finalise()
         network = FlatNetwork([diagram])
-        record_paths = list(records or [])
-        if not record_paths:
-            for leaf in network.order:
-                if type(leaf).__name__ == "Scope":
-                    for port in leaf.dports.values():
-                        record_paths.append(f"{leaf.name}.{port.name}")
-        ports = {
-            path: diagram.port_at(path) for path in record_paths
-        }
+        ports = (
+            [(path, diagram.port_at(path)) for path in records]
+            if records else default_records(network.order)
+        )
         if i == 0:
-            series = {path: [] for path in record_paths}
+            series = {label: [] for label, __ in ports}
         binding = SolverBinding(solver)
         if not binding.solver.supports_batch:
             raise BatchError(
@@ -998,7 +994,7 @@ def simulate_sequential(
 
         def outvals(t: float, x: np.ndarray) -> List[float]:
             network.evaluate(t, x)
-            return [port.read_scalar() for port in ports.values()]
+            return [port.read_scalar() for __, port in ports]
 
         __, x, steps, __, instance_times, rows = loop.run(
             0.0, network.initial_state(), 0, True, float(t_end), h,
@@ -1007,8 +1003,8 @@ def simulate_sequential(
         minor_steps += steps
         if i == 0:
             times = instance_times
-        for j, path in enumerate(record_paths):
-            series[path].append([row[j] for row in rows])
+        for j, (label, __) in enumerate(ports):
+            series[label].append([row[j] for row in rows])
         finals.append(x)
 
     return BatchResult(

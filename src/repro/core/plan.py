@@ -49,7 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 import numpy as np
@@ -148,6 +149,19 @@ class PlanCounters:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PlanCounters(evaluations={self.evaluations})"
+
+
+def default_records(
+    leaves: Iterable["Streamer"],
+) -> List[Tuple[str, Any]]:
+    """The record set when a caller names none: every Scope input of
+    ``leaves``, in their order, as ``("<scope>.<port>", port)`` pairs."""
+    return [
+        (f"{leaf.name}.{port.name}", port)
+        for leaf in leaves
+        if type(leaf).__name__ == "Scope"
+        for port in leaf.dports.values()
+    ]
 
 
 class ExecutionPlan:

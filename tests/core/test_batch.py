@@ -16,6 +16,7 @@ from repro.dataflow.diagram import Diagram
 from repro.dataflow.discrete import ZeroOrderHold
 from repro.dataflow.dynamics import PID, FirstOrderLag
 from repro.dataflow.math_blocks import Sum
+from repro.dataflow.sinks import Scope
 from repro.dataflow.sources import Sine, Step
 
 needs_cc = pytest.mark.skipif(
@@ -275,3 +276,38 @@ class TestSampledInterpreterParity:
         assert np.array_equal(result.t, times)
         for label in self.RECORDS:
             assert np.array_equal(result.series[label], series[label]), label
+
+
+def nested_scope_diagram() -> Diagram:
+    """A Scope inside a sub-diagram: ``top/ref -> inner/plant -> scope``."""
+    inner = Diagram("inner")
+    inner.add(FirstOrderLag("plant", tau=0.4))
+    inner.add(Scope("scope"))
+    inner.connect("plant.out", "scope.in1")
+    inner.expose("in", "plant.in")
+    top = Diagram("top")
+    top.add(Step("ref", amplitude=1.0))
+    top.add(inner)
+    top.connect("ref.out", "inner.in")
+    return top
+
+
+class TestDefaultRecords:
+    def test_nested_scope_sequential_equals_batch(self):
+        """The default record set (every Scope input) comes from the
+        leaves themselves, so a Scope under a sub-diagram records on
+        the sequential reference as on the batch program."""
+        sweeps = {"inner.plant.tau": [0.2, 0.4, 0.8]}
+        batch = BatchSimulator(
+            nested_scope_diagram(), 3, solver="rk4", h=0.01,
+            sweeps=sweeps,
+        ).run(0.2)
+        reference = simulate_sequential(
+            nested_scope_diagram, 3, 0.2, solver="rk4", h=0.01,
+            sweeps=sweeps,
+        )
+        assert list(batch.series) == list(reference.series) == ["scope.in1"]
+        assert np.array_equal(batch.t, reference.t)
+        assert np.array_equal(
+            batch.series["scope.in1"], reference.series["scope.in1"],
+        )
