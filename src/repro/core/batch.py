@@ -571,17 +571,13 @@ class BatchSimulator:
         non-kernel solver, unlowerable model, an artifact that will not
         load) the simulator *falls back* to the NumPy program, compiled
         then — check :attr:`backend_name` /
-        :attr:`backend_fallback_reason`; ``metrics`` (when given)
-        counts the demotion under ``backend.fallback``.
+        :attr:`backend_fallback_reason`.
     shards:
         Instance-axis shard count for the native kernel (None: one per
         core, capped).  Sharding never changes results — shards are
         contiguous row ranges of independent instances.
     native_cache_dir:
         Native artifact directory override (None: the process default).
-    metrics:
-        Optional :class:`~repro.service.telemetry.MetricsRegistry`
-        receiving ``backend.fallback`` counters on native demotion.
     """
 
     def __init__(
@@ -600,7 +596,6 @@ class BatchSimulator:
         backend: Optional[str] = None,
         shards: Optional[int] = None,
         native_cache_dir: Any = None,
-        metrics: Any = None,
     ) -> None:
         if n < 1:
             raise BatchError(f"need at least one instance, got {n}")
@@ -710,9 +705,6 @@ class BatchSimulator:
                 )
             except BackendUnavailable as exc:
                 self.backend_fallback_reason = str(exc)
-                if metrics is not None:
-                    metrics.counter("backend.fallback").inc()
-                    metrics.counter("backend.fallback.native-batch").inc()
         if self._native is None:
             self._bind_numpy()
         self.backend_name = (
