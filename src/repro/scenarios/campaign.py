@@ -28,6 +28,7 @@ campaign's analogue of a mutation-testing kill.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -567,7 +568,9 @@ def _run_fault(
 
     Both jobs run on the calling thread through the service's attempt
     loop, as a cluster worker runs its envelopes: the faulted job's
-    retried attempt resumes from its spool's newest checkpoint.
+    retried attempt resumes from its spool's newest checkpoint.  The
+    spool is ``<work_dir>/fault-<seed>``, or without a ``work_dir`` a
+    temporary directory removed once the job is done.
     """
     from repro.resilience import FaultInjector
     from repro.service.jobs import (
@@ -584,22 +587,27 @@ def _run_fault(
 
     t_end = 0.4
     crash_step = spec.params["crash_step"]
-    if config.work_dir:
-        spool = os.path.join(config.work_dir, f"fault-{spec.seed}")
-        os.makedirs(spool, exist_ok=True)
-    else:
-        spool = tempfile.mkdtemp(prefix=f"scenario-fault-{spec.seed}-")
     baseline = run(SingleRunJob(
         name=f"baseline-{spec.seed}", model_factory=spec.build,
         t_end=t_end, validate=False,
     ))
-    injector = FaultInjector(seed=spec.seed).crash_at_step(crash_step)
-    recovered = run(SingleRunJob(
-        name=f"faulted-{spec.seed}", model_factory=spec.build,
-        t_end=t_end, validate=False, retries=2, backoff=0.0,
-        checkpoint_dir=spool, checkpoint_every_steps=10,
-        fault_injector=injector,
-    ))
+    if config.work_dir:
+        spool_dir = contextlib.nullcontext(
+            os.path.join(config.work_dir, f"fault-{spec.seed}")
+        )
+    else:
+        spool_dir = tempfile.TemporaryDirectory(
+            prefix=f"scenario-fault-{spec.seed}-"
+        )
+    with spool_dir as spool:
+        os.makedirs(spool, exist_ok=True)
+        injector = FaultInjector(seed=spec.seed).crash_at_step(crash_step)
+        recovered = run(SingleRunJob(
+            name=f"faulted-{spec.seed}", model_factory=spec.build,
+            t_end=t_end, validate=False, retries=2, backoff=0.0,
+            checkpoint_dir=spool, checkpoint_every_steps=10,
+            fault_injector=injector,
+        ))
     rec.backend("interpreter")
     rec.solver("rk4")
     probes = {

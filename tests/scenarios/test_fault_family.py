@@ -9,6 +9,8 @@ corrupts the recovered side, and the oracle must see it.
 
 from __future__ import annotations
 
+import tempfile
+
 from repro.scenarios.campaign import (
     CampaignConfig, CampaignRunner, execute_scenario,
 )
@@ -39,6 +41,14 @@ class TestFaultFamily:
         }
         # the faulted job spooled checkpoints to resume from
         assert list((tmp_path / f"fault-{FAULT_SEED}").iterdir())
+
+    def test_without_a_work_dir_the_spool_is_removed(
+        self, tmp_path, monkeypatch,
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        outcome = execute_scenario(fault_spec(), CampaignConfig())
+        assert outcome.ok, outcome.detail
+        assert not list(tmp_path.glob("scenario-fault-*"))
 
     def test_mutation_is_caught(self, tmp_path):
         outcome = execute_scenario(fault_spec(), CampaignConfig(
